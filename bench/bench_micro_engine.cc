@@ -99,6 +99,40 @@ void BM_CachedPageAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedPageAccess);
 
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> page(kPageSize);
+  Lrand48 rng(11);
+  for (uint8_t& b : page) b = static_cast<uint8_t>(rng.Next() >> 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(page.data(), kPageChecksumOffset));
+  }
+  state.SetBytesProcessed(state.iterations() * kPageChecksumOffset);
+}
+BENCHMARK(BM_Crc32);
+
+// A cyclic sweep over four times as many pages as the client and server
+// caches hold together: LRU evicts every page before its next visit, so each
+// GetPage misses both levels and pays the RPC, the disk read and the
+// checksum verification.
+void BM_PageMiss(benchmark::State& state) {
+  DiskManager disk;
+  SimContext sim;
+  CacheConfig config;
+  config.client_bytes = 64 * kPageSize;
+  config.server_bytes = 32 * kPageSize;
+  TwoLevelCache cache(&disk, &sim, config);
+  uint16_t file = disk.CreateFile("data");
+  const uint32_t pages = 4 * (config.client_pages() + config.server_pages());
+  for (uint32_t i = 0; i < pages; ++i) disk.AllocatePage(file);
+  cache.DropAll();
+  uint32_t page = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.GetPage(file, page));
+    page = page + 1 == pages ? 0 : page + 1;
+  }
+}
+BENCHMARK(BM_PageMiss);
+
 void BM_HandleGetUnref(benchmark::State& state) {
   DiskManager disk;
   SimContext sim;

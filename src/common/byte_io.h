@@ -1,14 +1,22 @@
 #ifndef TREEBENCH_COMMON_BYTE_IO_H_
 #define TREEBENCH_COMMON_BYTE_IO_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
 namespace treebench {
 
-// Little-endian fixed-width encoding into raw byte buffers. Used by the
-// slotted-page and object serialization layers. All functions assume the
-// caller has validated bounds.
+// Fixed-width encoding into raw byte buffers in the host's native byte
+// order (memcpy). Used by the slotted-page and object serialization layers.
+// All functions assume the caller has validated bounds.
+//
+// The on-disk format is therefore native little-endian, and Crc32
+// (src/storage/page.cc) reads its input as little-endian 32-bit words. A
+// big-endian host would write different page images and trailers, so it is
+// refused at compile time.
+static_assert(std::endian::native == std::endian::little,
+              "treebench's on-disk format is native little-endian");
 
 inline void PutU16(uint8_t* dst, uint16_t v) { std::memcpy(dst, &v, 2); }
 inline void PutU32(uint8_t* dst, uint32_t v) { std::memcpy(dst, &v, 4); }

@@ -9,27 +9,51 @@ namespace treebench {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  constexpr Crc32Table() : entries() {
+// Slicing-by-16 tables: t[0] is the classic byte-wise table; t[k][b] is the
+// CRC contribution of byte b followed by k zero bytes, so sixteen lookups
+// fold a 16-byte block in one step.
+struct Crc32Tables {
+  uint32_t t[16][256];
+  constexpr Crc32Tables() : t() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      t[0][i] = c;
+    }
+    for (int s = 1; s < 16; ++s) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFF];
+      }
     }
   }
 };
 
-constexpr Crc32Table kCrc32Table;
+constexpr Crc32Tables kCrc32;
 
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, uint32_t len) {
+  const auto& t = kCrc32.t;
   uint32_t crc = 0xFFFFFFFFu;
-  for (uint32_t i = 0; i < len; ++i) {
-    crc = kCrc32Table.entries[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  // Little-endian word loads (byte_io.h): the low byte of `w0` is data[0].
+  for (; len >= 16; len -= 16, data += 16) {
+    uint32_t w0 = GetU32(data) ^ crc;
+    uint32_t w1 = GetU32(data + 4);
+    uint32_t w2 = GetU32(data + 8);
+    uint32_t w3 = GetU32(data + 12);
+    crc = t[15][w0 & 0xFF] ^ t[14][(w0 >> 8) & 0xFF] ^
+          t[13][(w0 >> 16) & 0xFF] ^ t[12][w0 >> 24] ^
+          t[11][w1 & 0xFF] ^ t[10][(w1 >> 8) & 0xFF] ^
+          t[9][(w1 >> 16) & 0xFF] ^ t[8][w1 >> 24] ^
+          t[7][w2 & 0xFF] ^ t[6][(w2 >> 8) & 0xFF] ^
+          t[5][(w2 >> 16) & 0xFF] ^ t[4][w2 >> 24] ^
+          t[3][w3 & 0xFF] ^ t[2][(w3 >> 8) & 0xFF] ^
+          t[1][(w3 >> 16) & 0xFF] ^ t[0][w3 >> 24];
+  }
+  for (; len > 0; --len, ++data) {
+    crc = t[0][(crc ^ *data) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

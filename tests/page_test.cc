@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "src/common/random.h"
 
 namespace treebench {
 namespace {
@@ -118,6 +121,84 @@ TEST_F(PageTest, FreeSpaceAccounting) {
   uint32_t before = page_.FreeSpace();
   page_.Insert(Bytes("0123456789")).value();
   EXPECT_EQ(page_.FreeSpace(), before - 10 - Page::kSlotEntrySize);
+}
+
+// The classic byte-at-a-time CRC-32 table loop. Crc32 must match it bit for
+// bit: every stamped trailer and golden file was computed with it.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc = kTable[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(Lrand48* rng, size_t n) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng->Next() >> 8);
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
+                  static_cast<uint32_t>(check.size())),
+            0xCBF43926u);
+  const uint8_t unused = 0;
+  EXPECT_EQ(Crc32(&unused, 0), 0u);
+}
+
+// Each case gets a buffer that ends at the input's last byte, so a read past
+// `len` trips AddressSanitizer; offsets 0..7 shift the 32-bit word loads
+// through every alignment.
+TEST(Crc32Test, MatchesReferenceAtEveryShortLengthAndOffset) {
+  Lrand48 rng(12);
+  const std::vector<uint8_t> bytes = RandomBytes(&rng, 64 + 8);
+  for (uint32_t offset = 0; offset < 8; ++offset) {
+    for (uint32_t len = 0; len <= 64; ++len) {
+      const std::vector<uint8_t> buf(bytes.begin(),
+                                     bytes.begin() + offset + len);
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesReferenceOnRandomPages) {
+  Lrand48 rng(42);
+  for (int i = 0; i < 1000; ++i) {
+    const std::vector<uint8_t> page = RandomBytes(&rng, kPageSize);
+    ASSERT_EQ(PageChecksum(page.data()),
+              ReferenceCrc32(page.data(), kPageChecksumOffset))
+        << "page " << i;
+  }
+}
+
+TEST(Crc32Test, VerifyRejectsASingleFlippedBit) {
+  Lrand48 rng(7);
+  std::vector<uint8_t> page = RandomBytes(&rng, kPageSize);
+  StampPageChecksum(page.data());
+  ASSERT_TRUE(VerifyPageChecksum(page.data()));
+  // One flip per byte, trailer included, cycling through the bit positions.
+  for (uint32_t i = 0; i < kPageSize; ++i) {
+    const uint8_t mask = static_cast<uint8_t>(1u << (i % 8));
+    page[i] ^= mask;
+    EXPECT_FALSE(VerifyPageChecksum(page.data())) << "byte " << i;
+    page[i] ^= mask;
+  }
+  EXPECT_TRUE(VerifyPageChecksum(page.data()));
 }
 
 }  // namespace
