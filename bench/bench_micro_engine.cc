@@ -133,34 +133,62 @@ void BM_PageMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_PageMiss);
 
-void BM_HandleGetUnref(benchmark::State& state) {
+struct HandleFixtureState {
   DiskManager disk;
   SimContext sim;
-  TwoLevelCache cache(&disk, &sim, CacheConfig{});
+  TwoLevelCache cache{&disk, &sim, CacheConfig{}};
   Schema schema;
-  uint16_t cls = schema
-                     .AddClass("P", {{"name", AttrType::kString},
-                                     {"x", AttrType::kInt32}})
-                     .value();
-  ObjectStore store(&schema, &cache, &sim);
-  uint16_t file = disk.CreateFile("objs");
+  ObjectStore store;
   std::vector<Rid> rids;
-  CreateOptions copts;
-  copts.file_id = file;
-  for (int i = 0; i < 10000; ++i) {
-    rids.push_back(
-        store.CreateObject(cls, ObjectData{std::string("abcdefgh"), i},
-                           copts)
-            .value());
+
+  // `arena_handles` = 0 keeps the store's default handle arena.
+  HandleFixtureState(int objects, uint64_t arena_handles)
+      : store(&schema, &cache, &sim, StringStorage::kInline, 0.9,
+              arena_handles * sim.HandleBytes()) {
+    uint16_t cls = schema
+                       .AddClass("P", {{"name", AttrType::kString},
+                                       {"x", AttrType::kInt32}})
+                       .value();
+    CreateOptions copts;
+    copts.file_id = disk.CreateFile("objs");
+    for (int i = 0; i < objects; ++i) {
+      rids.push_back(
+          store.CreateObject(cls, ObjectData{std::string("abcdefgh"), i},
+                             copts)
+              .value());
+    }
   }
+};
+
+// Random re-references over 10k objects, which all stay resident in the
+// default arena: times the handle lookup path.
+void BM_HandleGetUnref(benchmark::State& state) {
+  HandleFixtureState fx(10000, 0);
   Lrand48 rng(5);
   for (auto _ : state) {
-    ObjectHandle* h = store.Get(rids[rng.Uniform(rids.size())]).value();
-    benchmark::DoNotOptimize(store.GetInt32(h, 1));
-    store.Unref(h);
+    ObjectHandle* h =
+        fx.store.Get(fx.rids[rng.Uniform(fx.rids.size())]).value();
+    benchmark::DoNotOptimize(fx.store.GetInt32(h, 1));
+    fx.store.Unref(h);
   }
 }
 BENCHMARK(BM_HandleGetUnref);
+
+// A cyclic sweep over four times as many objects as the handle arena holds:
+// every Get materializes a fresh handle, and zombie collection frees one
+// handle per Get on average.
+void BM_HandleChurn(benchmark::State& state) {
+  const uint64_t arena_handles = 1024;
+  HandleFixtureState fx(static_cast<int>(4 * arena_handles), arena_handles);
+  size_t i = 0;
+  for (auto _ : state) {
+    ObjectHandle* h = fx.store.Get(fx.rids[i]).value();
+    benchmark::DoNotOptimize(fx.store.GetInt32(h, 1));
+    fx.store.Unref(h);
+    i = i + 1 == fx.rids.size() ? 0 : i + 1;
+  }
+}
+BENCHMARK(BM_HandleChurn);
 
 void BM_DerbyBuildTiny(benchmark::State& state) {
   for (auto _ : state) {

@@ -9,7 +9,10 @@ namespace treebench {
 
 /// LRU residency tracker for one cache level. It tracks *which* pages are
 /// resident and their dirty bit; page bytes live in the DiskManager (the
-/// simulation charges time, it does not copy data).
+/// simulation charges time, it does not copy data). The map stays an
+/// unordered_map because FlushDirty visits pages in its hash order, and that
+/// order decides the server-cache inserts and evictions of a flush, so any
+/// other map would change simulated results.
 class LruPageCache {
  public:
   /// Result of an insertion: the page that had to be evicted, if any.
@@ -32,6 +35,8 @@ class LruPageCache {
 
   /// If resident, promotes to MRU and returns true.
   bool Touch(uint64_t key) {
+    // Consecutive accesses mostly hit the page already at the front.
+    if (!lru_.empty() && lru_.front() == key) return true;
     auto it = map_.find(key);
     if (it == map_.end()) return false;
     lru_.splice(lru_.begin(), lru_, it->second.pos);

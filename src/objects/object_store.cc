@@ -140,19 +140,20 @@ Result<Rid> ObjectStore::ResolveForward(const Rid& rid) {
   return canonical;
 }
 
-Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
-  uint64_t key = rid.Packed();
-  auto alias_it = ht_->alias.find(key);
-  if (alias_it != ht_->alias.end()) key = alias_it->second;
+uint64_t ObjectStore::AliasedKey(uint64_t key) const {
+  if (ht_->alias.empty()) return key;
+  auto it = ht_->alias.find(key);
+  return it != ht_->alias.end() ? it->second : key;
+}
 
-  auto it = ht_->handles.find(key);
-  if (it != ht_->handles.end()) {
+Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
+  if (ObjectHandle* h = ht_->handles.Find(AliasedKey(rid.Packed()))) {
     // Already resident: cheap re-reference (no page access needed — the
     // handle caches the object's location and bookkeeping).
     sim_->ChargeHandleLookup();
-    ++it->second->refcount;
-    if (observer_ != nullptr) observer_->OnObjectAccess(it->second->rid);
-    return it->second.get();
+    ++h->refcount;
+    if (observer_ != nullptr) observer_->OnObjectAccess(h->rid);
+    return h;
   }
 
   // Materialize: read the record (this ensures page residency and charges
@@ -164,24 +165,20 @@ Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
   uint64_t canon_key = canonical.Packed();
   if (canon_key != rid.Packed()) {
     ht_->alias[rid.Packed()] = canon_key;
-    auto canon_it = ht_->handles.find(canon_key);
-    if (canon_it != ht_->handles.end()) {
+    if (ObjectHandle* h = ht_->handles.Find(canon_key)) {
       sim_->ChargeHandleLookup();
-      ++canon_it->second->refcount;
-      return canon_it->second.get();
+      ++h->refcount;
+      return h;
     }
   }
 
   sim_->ChargeHandleGet();
   sim_->AddHandleMemory(static_cast<int64_t>(sim_->HandleBytes()));
-  auto handle = std::make_unique<ObjectHandle>();
-  handle->rid = canonical;
-  handle->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
-  handle->refcount = 1;
-  ObjectHandle* ptr = handle.get();
-  ht_->handles.emplace(canon_key, std::move(handle));
+  ObjectHandle* h = ht_->handles.Insert(canon_key);
+  h->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
+  h->refcount = 1;
   MaybeCollectZombies();
-  return ptr;
+  return h;
 }
 
 Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
@@ -191,16 +188,11 @@ Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
   uint64_t materialized = 0;
   Status err = Status::OK();
   for (const Rid& rid : rids) {
-    uint64_t key = rid.Packed();
-    auto alias_it = ht_->alias.find(key);
-    if (alias_it != ht_->alias.end()) key = alias_it->second;
-
-    auto it = ht_->handles.find(key);
-    if (it != ht_->handles.end()) {
+    if (ObjectHandle* h = ht_->handles.Find(AliasedKey(rid.Packed()))) {
       sim_->ChargeHandleLookup();
-      ++it->second->refcount;
-      if (observer_ != nullptr) observer_->OnObjectAccess(it->second->rid);
-      out.push_back(it->second.get());
+      ++h->refcount;
+      if (observer_ != nullptr) observer_->OnObjectAccess(h->rid);
+      out.push_back(h);
       continue;
     }
 
@@ -215,21 +207,18 @@ Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
     uint64_t canon_key = canonical.Packed();
     if (canon_key != rid.Packed()) {
       ht_->alias[rid.Packed()] = canon_key;
-      auto canon_it = ht_->handles.find(canon_key);
-      if (canon_it != ht_->handles.end()) {
+      if (ObjectHandle* h = ht_->handles.Find(canon_key)) {
         sim_->ChargeHandleLookup();
-        ++canon_it->second->refcount;
-        out.push_back(canon_it->second.get());
+        ++h->refcount;
+        out.push_back(h);
         continue;
       }
     }
 
-    auto handle = std::make_unique<ObjectHandle>();
-    handle->rid = canonical;
-    handle->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
-    handle->refcount = 1;
-    out.push_back(handle.get());
-    ht_->handles.emplace(canon_key, std::move(handle));
+    ObjectHandle* h = ht_->handles.Insert(canon_key);
+    h->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
+    h->refcount = 1;
+    out.push_back(h);
     ++materialized;
   }
 
@@ -292,9 +281,7 @@ Status ObjectStore::DeleteRecord(const Rid& rid) {
   if (!found) return Status::Corruption("forwarding chain too long");
 
   uint64_t key = canonical.Packed();
-  auto it = ht_->handles.find(key);
-  if (it != ht_->handles.end()) {
-    ht_->handles.erase(it);
+  if (ht_->handles.Erase(key)) {
     sim_->AddHandleMemory(-static_cast<int64_t>(sim_->HandleBytes()));
   }
   // Stale zombie-deque entries for `key` are harmless: collection passes
@@ -305,38 +292,38 @@ Status ObjectStore::DeleteRecord(const Rid& rid) {
   return Status::OK();
 }
 
+void ObjectStore::FreeIfZombie(uint64_t key) {
+  // The deque may name a key that was since erased, or whose handle was
+  // re-referenced (and maybe parked again): only a resident refcount-0
+  // handle is freed.
+  ObjectHandle* h = ht_->handles.Find(key);
+  if (h != nullptr && h->refcount == 0) {
+    ht_->handles.Erase(key);
+    sim_->AddHandleMemory(-static_cast<int64_t>(sim_->HandleBytes()));
+  }
+}
+
 void ObjectStore::MaybeCollectZombies() {
   uint64_t bytes = sim_->HandleBytes();
   if (ht_->handles.size() * bytes <= handle_arena_bytes_) return;
   size_t target = handle_arena_bytes_ / bytes / 2;
   while (!ht_->zombies.empty() && ht_->handles.size() > target) {
-    uint64_t key = ht_->zombies.front();
+    FreeIfZombie(ht_->zombies.front());
     ht_->zombies.pop_front();
-    auto it = ht_->handles.find(key);
-    if (it != ht_->handles.end() && it->second->refcount == 0) {
-      ht_->handles.erase(it);
-      sim_->AddHandleMemory(-static_cast<int64_t>(bytes));
-    }
   }
 }
 
 void ObjectStore::ReleaseZombies() {
-  uint64_t bytes = sim_->HandleBytes();
   while (!ht_->zombies.empty()) {
-    uint64_t key = ht_->zombies.front();
+    FreeIfZombie(ht_->zombies.front());
     ht_->zombies.pop_front();
-    auto it = ht_->handles.find(key);
-    if (it != ht_->handles.end() && it->second->refcount == 0) {
-      ht_->handles.erase(it);
-      sim_->AddHandleMemory(-static_cast<int64_t>(bytes));
-    }
   }
 }
 
 void ObjectStore::DropAllHandles() {
   sim_->AddHandleMemory(-static_cast<int64_t>(ht_->handles.size() *
                                               sim_->HandleBytes()));
-  ht_->handles.clear();
+  ht_->handles.Clear();
   ht_->zombies.clear();
   ht_->alias.clear();
 }

@@ -2,7 +2,6 @@
 #define TREEBENCH_OBJECTS_OBJECT_STORE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,6 +11,7 @@
 #include "src/cache/two_level_cache.h"
 #include "src/common/status.h"
 #include "src/cost/sim_context.h"
+#include "src/objects/handle_table.h"
 #include "src/objects/object_layout.h"
 #include "src/objects/schema.h"
 #include "src/objects/set_store.h"
@@ -20,29 +20,6 @@
 #include "src/storage/rid.h"
 
 namespace treebench {
-
-/// The in-memory representative of an object — O2's *Handle* (paper
-/// Section 4). The real O2 handle is ~60 bytes of bookkeeping (flags,
-/// index-list pointer, type pointer, version pointer, reference count, ...);
-/// here the bookkeeping burden is *modeled*: every materialization /
-/// re-reference / unreference charges the configured handle costs, and the
-/// handle's modeled footprint counts against the simulated machine's RAM.
-struct ObjectHandle {
-  Rid rid;  // canonical Rid (forwards resolved)
-  uint16_t class_id = 0;
-  uint32_t refcount = 0;
-};
-
-/// One client process's handle space: resident handles keyed by canonical
-/// packed rid, forwarding aliases, and the delayed-destruction zombie list.
-/// The ObjectStore owns a default table; the multi-client workload scheduler
-/// (src/workload) binds a per-ClientSession table so sessions do not see
-/// each other's resident handles.
-struct HandleTable {
-  std::unordered_map<uint64_t, std::unique_ptr<ObjectHandle>> handles;
-  std::unordered_map<uint64_t, uint64_t> alias;
-  std::deque<uint64_t> zombies;
-};
 
 /// Observation hook on the object-access path (docs/clustering_model.md).
 /// The recluster HeatTracker implements it to learn per-page access heat
@@ -218,6 +195,11 @@ class ObjectStore {
                                                    RecordFile* home,
                                                    uint16_t overflow_file);
 
+  /// The canonical key `key` is aliased to, or `key` itself.
+  uint64_t AliasedKey(uint64_t key) const;
+
+  /// Frees the handle under `key` if it is resident with refcount 0.
+  void FreeIfZombie(uint64_t key);
   void MaybeCollectZombies();
 
   Schema* schema_;

@@ -97,6 +97,43 @@ TEST(LruPageCacheTest, ZeroCapacityEvictsImmediately) {
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.key, 5u);
   EXPECT_FALSE(cache.Contains(5));
+  EXPECT_FALSE(cache.Touch(5));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(LruPageCacheTest, TouchOnMruKeepsEvictionOrder) {
+  LruPageCache cache(3);
+  cache.Insert(1);
+  cache.Insert(2);
+  cache.Insert(3);
+  EXPECT_TRUE(cache.Touch(3));
+  EXPECT_TRUE(cache.Touch(3));
+  EXPECT_EQ(cache.Insert(4).key, 1u);
+  EXPECT_TRUE(cache.Touch(4));
+  EXPECT_EQ(cache.Insert(5).key, 2u);
+  EXPECT_EQ(cache.Insert(6).key, 3u);
+  EXPECT_EQ(cache.Insert(7).key, 4u);
+}
+
+TEST(LruPageCacheTest, TouchMissesAfterTheMruLeaves) {
+  LruPageCache erased(2);
+  erased.Insert(1);
+  erased.Insert(2);
+  erased.Erase(2);
+  EXPECT_FALSE(erased.Touch(2));
+  EXPECT_TRUE(erased.Touch(1));
+
+  LruPageCache cleared(2);
+  cleared.Insert(1);
+  cleared.Clear();
+  EXPECT_FALSE(cleared.Touch(1));
+
+  LruPageCache single(1);
+  single.Insert(1);
+  EXPECT_TRUE(single.Touch(1));
+  EXPECT_EQ(single.Insert(2).key, 1u);
+  EXPECT_FALSE(single.Touch(1));
+  EXPECT_TRUE(single.Touch(2));
 }
 
 class TwoLevelCacheTest : public ::testing::Test {

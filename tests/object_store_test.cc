@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
+#include <vector>
+
+#include "src/common/random.h"
 
 namespace treebench {
 namespace {
 
 class ObjectStoreTest : public ::testing::Test {
  protected:
-  void Init(StringStorage mode = StringStorage::kInline) {
+  void Init(StringStorage mode = StringStorage::kInline,
+            uint64_t handle_arena_bytes = 0) {
     cache_ = std::make_unique<TwoLevelCache>(&disk_, &sim_, CacheConfig{});
     provider_id_ = schema_
                        .AddClass("Provider",
@@ -25,7 +32,8 @@ class ObjectStoreTest : public ::testing::Test {
                                  {"pcp", AttrType::kRef}})
                       .value();
     store_ = std::make_unique<ObjectStore>(&schema_, cache_.get(), &sim_,
-                                           mode);
+                                           mode, /*fill_factor=*/0.9,
+                                           handle_arena_bytes);
     file_ = disk_.CreateFile("objects");
   }
 
@@ -287,6 +295,111 @@ TEST_F(ObjectStoreTest, AttributeCountMismatchRejected) {
   opts.file_id = file_;
   auto r = store_->CreateObject(patient_id_, ObjectData{1}, opts);
   EXPECT_TRUE(r.status().IsInvalidArgument());
+}
+
+// Reference model of delayed handle destruction: resident refcounts plus a
+// FIFO zombie deque that keeps stale and duplicate keys, collected down to
+// half the arena whenever a fresh handle overflows it.
+struct ZombieModel {
+  uint64_t bytes;
+  uint64_t arena;
+  std::map<uint64_t, uint32_t> resident;
+  std::deque<uint64_t> zombies;
+
+  void Get(uint64_t key) {
+    auto it = resident.find(key);
+    if (it != resident.end()) {
+      ++it->second;
+      return;
+    }
+    resident[key] = 1;
+    if (resident.size() * bytes <= arena) return;
+    size_t target = arena / bytes / 2;
+    while (!zombies.empty() && resident.size() > target) {
+      auto z = resident.find(zombies.front());
+      zombies.pop_front();
+      if (z != resident.end() && z->second == 0) resident.erase(z);
+    }
+  }
+  void Unref(uint64_t key) {
+    if (--resident.at(key) == 0) zombies.push_back(key);
+  }
+  void Delete(uint64_t key) { resident.erase(key); }
+};
+
+TEST_F(ObjectStoreTest, ArenaCollectionFollowsTheFifoZombieModel) {
+  const uint64_t bytes = sim_.HandleBytes();
+  Init(StringStorage::kInline, /*handle_arena_bytes=*/8 * bytes);
+  HandleTable table;
+  store_->BindHandleTable(&table);
+  // Five times as many objects as the arena holds handles; mrn = index.
+  std::vector<Rid> all;
+  for (int i = 0; i < 40; ++i) all.push_back(NewPatient("p", i, 20));
+  std::vector<Rid> live = all;
+  ZombieModel model{bytes, 8 * bytes, {}, {}};
+  std::vector<ObjectHandle*> held;
+
+  auto check = [&] {
+    ASSERT_EQ(store_->resident_handles(), model.resident.size());
+    ASSERT_EQ(sim_.handle_bytes(), model.resident.size() * bytes);
+    for (const Rid& r : all) {
+      ASSERT_EQ(table.handles.Find(r.Packed()) != nullptr,
+                model.resident.count(r.Packed()) == 1)
+          << r.ToString();
+    }
+  };
+  auto get = [&](const Rid& r) {
+    ObjectHandle* h = store_->Get(r).value();
+    model.Get(r.Packed());
+    EXPECT_EQ(h->rid, r);
+    EXPECT_EQ(*store_->GetInt32(h, 1),
+              std::find(all.begin(), all.end(), r) - all.begin());
+    held.push_back(h);
+  };
+  auto unref = [&](ObjectHandle* h) {
+    model.Unref(h->rid.Packed());
+    store_->Unref(h);
+    held.erase(std::find(held.begin(), held.end(), h));
+  };
+  auto remove = [&](const Rid& r) {
+    ASSERT_TRUE(store_->DeleteRecord(r).ok());
+    model.Delete(r.Packed());
+    live.erase(std::find(live.begin(), live.end(), r));
+  };
+
+  // A zombie resurrected and parked again sits twice in the deque.
+  get(all[0]);
+  unref(held.back());
+  get(all[0]);
+  unref(held.back());
+  ASSERT_EQ(table.zombies.size(), 2u);
+  // Deleting a resident zombie leaves a stale deque entry behind.
+  get(all[1]);
+  unref(held.back());
+  remove(all[1]);
+  check();
+
+  Lrand48 rng(17);
+  for (int op = 0; op < 4000; ++op) {
+    uint64_t kind = rng.Uniform(100);
+    if (kind < 50 || held.empty()) {
+      get(live[rng.Uniform(live.size())]);
+    } else if (kind < 98) {
+      unref(held[rng.Uniform(held.size())]);
+    } else if (live.size() > 10) {
+      // Delete an object no caller holds, resident or not.
+      const Rid r = live[rng.Uniform(live.size())];
+      ObjectHandle* h = table.handles.Find(r.Packed());
+      if (h == nullptr || h->refcount == 0) remove(r);
+    }
+    check();
+  }
+  EXPECT_GT(sim_.metrics().handle_gets, 400u);  // the arena really churned
+  while (!held.empty()) unref(held.back());
+  store_->ReleaseZombies();
+  EXPECT_EQ(store_->resident_handles(), 0u);
+  EXPECT_EQ(sim_.handle_bytes(), 0u);
+  store_->BindHandleTable(nullptr);
 }
 
 }  // namespace
