@@ -12,15 +12,9 @@ namespace {
 
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
-  if (opts.scale == 1) {
-    // The relocation + reload paths do real per-object work; default to a
-    // tenth of paper scale (shape is scale-free). --scale=1 to override.
-    bool explicit_scale = false;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--scale=", 8) == 0) explicit_scale = true;
-    }
-    if (!explicit_scale) opts.scale = 10;
-  }
+  // The relocation + reload paths do real per-object work; default to a
+  // tenth of paper scale (shape is scale-free). --scale=1 to override.
+  if (!opts.scale_given) opts.scale = 10;
 
   DerbyConfig cfg;
   cfg.providers = 2000;

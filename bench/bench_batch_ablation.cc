@@ -30,7 +30,6 @@
 //   --scale=0            smoke mode: tiny database (scale 64) — the CI
 //                        config; the 3x check still holds there.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,37 +43,6 @@
 namespace treebench::bench {
 namespace {
 
-struct ExtraArgs {
-  bool smoke = false;        // --scale=0
-  std::string summary_json;  // --summary-json=PATH
-};
-
-// The common ParseArgs clamps --scale to >= 1, so smoke mode (--scale=0)
-// must be detected from raw argv.
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    }
-  }
-  return extra;
-}
-
-bool WriteFileOrWarn(const std::string& path, const std::string& content) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 /// Out-slot of one (clustering x batch) cell.
 struct BatchOut {
   bool ok = false;
@@ -86,8 +54,7 @@ struct BatchOut {
 
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
+  if (opts.smoke) opts.scale = kSmokeScale;
 
   const std::vector<ClusteringStrategy> clusterings = {
       ClusteringStrategy::kClassClustered, ClusteringStrategy::kComposition,
@@ -185,7 +152,7 @@ int Main(int argc, char** argv) {
 
       const std::string key =
           cluster_label + "_b" + std::to_string(batch);
-      if (!extra.summary_json.empty()) {
+      if (!opts.summary_json.empty()) {
         summary.Set(key + "_scan_rpcs", static_cast<double>(sm.rpc_count));
         summary.Set(key + "_scan_disk_reads",
                     static_cast<double>(sm.disk_reads));
@@ -248,15 +215,11 @@ int Main(int argc, char** argv) {
       "on clustered layouts, less on randomized (where oversized windows "
       "can even thrash a tiny client cache — visible above at scale 0)\n");
 
-  if (!extra.summary_json.empty()) {
-    if (WriteFileOrWarn(extra.summary_json, summary.ToJson())) {
-      std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
-    } else {
-      return 1;
-    }
+  if (!opts.summary_json.empty()) {
+    if (!WriteTextFile(opts.summary_json, summary.ToJson())) return 1;
+    std::printf("wrote run summary to %s\n", opts.summary_json.c_str());
   }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return speedup_ok ? 0 : 1;
 }
 

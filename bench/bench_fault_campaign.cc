@@ -29,7 +29,6 @@
 // export works and run_benches.sh consolidates this bench into
 // bench_json/BENCH_results.json like every other sweep.
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -247,29 +246,19 @@ WorkloadSpec SloSpec(bool with_crash) {
 }
 
 /// Out-slot of one SLO-campaign cell.
-struct SloOut {
-  bool ok = false;
-  WorkloadReport report;
+struct SloOut : WorkloadRun {
   double recovery_ns = 0;
-  uint64_t server_cache_bytes = 0;
-  uint64_t client_cache_bytes = 0;
 };
 
 int RunSloCell(const BenchOptions& opts, bool with_crash, const char* what,
                SloOut* out) {
   auto derby = BuildDerbyOrDie(2000, 1000,
                                ClusteringStrategy::kClassClustered, opts);
-  auto run = RunWorkload(derby.get(), SloSpec(with_crash));
-  if (!run.ok()) {
-    std::fprintf(stderr, "FATAL: slo campaign (%s): %s\n", what,
-                 run.status().ToString().c_str());
+  if (!RunWorkloadInto(derby.get(), SloSpec(with_crash),
+                       std::string("slo campaign (") + what + ")", out)) {
     return 1;
   }
-  out->report = *std::move(run);
   out->recovery_ns = 1e6 + derby->db->sim().model().server_recovery_ns;
-  out->server_cache_bytes = derby->db->cache().config().server_bytes;
-  out->client_cache_bytes = derby->db->cache().config().client_bytes;
-  out->ok = true;
   return 0;
 }
 
@@ -355,20 +344,11 @@ bool SloMerge(const SloOut& a, const SloOut& b, const SloOut& clean,
   // queries spend their time vs the median?
   std::printf("\n%s\n", run_a.tail.ToString().c_str());
 
-  StatRecord rec;
+  StatRecord rec = WorkloadStatRecord(a);
   rec.database = "derby-2e3x1e3";
   rec.cluster = "class";
   rec.algo = "slo_campaign";
   rec.query_text = "zipf selections, 2 shards, shard-0 crash at 1ms";
-  rec.num_clients = run_a.spec.num_clients;
-  rec.throughput_qps = run_a.throughput_qps;
-  rec.latency_p50_s = run_a.latencies.Quantile(0.50) / 1e9;
-  rec.latency_p95_s = run_a.latencies.Quantile(0.95) / 1e9;
-  rec.latency_p99_s = run_a.latencies.Quantile(0.99) / 1e9;
-  rec.result_count = run_a.total_queries;
-  rec.server_cache_bytes = a.server_cache_bytes;
-  rec.client_cache_bytes = a.client_cache_bytes;
-  rec.FillFrom(run_a.totals, run_a.span_seconds);
   stats->Add(rec);
 
   if (summary != nullptr) {
@@ -396,14 +376,6 @@ bool SloMerge(const SloOut& a, const SloOut& b, const SloOut& clean,
 
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
-  // The common ParseArgs has no --summary-json; parse it from raw argv
-  // (same pattern as the scale-out benches).
-  std::string summary_json;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--summary-json=", 15) == 0) {
-      summary_json = argv[i] + 15;
-    }
-  }
 
   struct Intensity {
     std::string slug;
@@ -547,20 +519,13 @@ int Main(int argc, char** argv) {
   telemetry::FlatRun summary;
   const bool slo_ok =
       SloMerge(slo_a, slo_b, slo_clean, &stats,
-               summary_json.empty() ? nullptr : &summary);
-  if (!summary_json.empty()) {
-    FILE* f = std::fopen(summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", summary_json.c_str());
-      return 1;
-    }
-    const std::string s = summary.ToJson();
-    std::fwrite(s.data(), 1, s.size(), f);
-    std::fclose(f);
-    std::printf("wrote slo campaign summary to %s\n", summary_json.c_str());
+               opts.summary_json.empty() ? nullptr : &summary);
+  if (!opts.summary_json.empty()) {
+    if (!WriteTextFile(opts.summary_json, summary.ToJson())) return 1;
+    std::printf("wrote slo campaign summary to %s\n",
+                opts.summary_json.c_str());
   }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return slo_ok ? 0 : 1;
 }
 

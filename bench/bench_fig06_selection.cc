@@ -70,8 +70,7 @@ int Main(int argc, char** argv) {
   std::printf(
       "\nexpected: index wins below a 1-5%% threshold; the scan's I/O count "
       "is flat across selectivities (paper Section 4.2)\n");
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return 0;
 }
 

@@ -85,8 +85,7 @@ int Main(int argc, char** argv) {
       "  constructing a 1.8M-int collection (scan@90%% - scan@0.1%%): %.2f s"
       "  (paper: ~1100)\n",
       scan_at_tenth, scan_at_90 - scan_at_tenth);
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return 0;
 }
 

@@ -20,8 +20,7 @@ int Main(int argc, char** argv) {
   StatStore stats;
   RunTreeQueryGrid(*derby, "fig11 class-cluster 2e3x2e6", paper, opts,
                    &stats);
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return 0;
 }
 

@@ -20,8 +20,7 @@ int Main(int argc, char** argv) {
   StatStore stats;
   RunTreeQueryGrid(*derby, "fig12 class-cluster 1e6x3e6", paper, opts,
                    &stats);
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return 0;
 }
 

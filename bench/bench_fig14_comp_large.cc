@@ -18,8 +18,7 @@ int Main(int argc, char** argv) {
   StatStore stats;
   RunTreeQueryGrid(*derby, "fig14 composition 1e6x3e6", paper, opts,
                    &stats);
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return 0;
 }
 

@@ -117,8 +117,7 @@ int Main(int argc, char** argv) {
              {"rel", "sel pat/prov", "randomized", "class cluster",
               "composition"},
              rows);
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return 0;
 }
 

@@ -38,7 +38,6 @@
 //   --scale=0            smoke mode: tiny database (scale 64) — the CI
 //                        config.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,27 +51,6 @@
 
 namespace treebench::bench {
 namespace {
-
-struct ExtraArgs {
-  bool smoke = false;        // --scale=0
-  uint32_t queries = 0;      // --queries=N (0 = default)
-  std::string summary_json;  // --summary-json=PATH
-};
-
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      extra.queries = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    }
-  }
-  return extra;
-}
 
 /// One client repeating the canonical composition traversal, NL-forced and
 /// cold per query, so every latency is a pure function of the current
@@ -112,10 +90,10 @@ bool CheckReclusterOffBitIdentity(const BenchOptions& opts,
       BuildDerbyOrDie(2000, 1000, ClusteringStrategy::kRandomized, opts);
   HeatTracker idle(&hooked_db->db->sim());
   idle.set_enabled(false);
-  ObjectAccessObserver* prev =
-      hooked_db->db->store().BindAccessObserver(&idle);
-  auto hooked = RunWorkload(hooked_db.get(), spec);
-  hooked_db->db->store().BindAccessObserver(prev);
+  Result<WorkloadReport> hooked = [&] {
+    ObjectStore::ObserverScope observed(&hooked_db->db->store(), &idle);
+    return RunWorkload(hooked_db.get(), spec);
+  }();
   if (!hooked.ok()) {
     std::fprintf(stderr, "FATAL: hooked recluster-off run: %s\n",
                  hooked.status().ToString().c_str());
@@ -161,9 +139,9 @@ PhaseResult RunPhase(DerbyDb* derby, const WorkloadSpec& spec,
 
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
-  const uint32_t queries = extra.queries > 0 ? extra.queries : 6;
+  if (opts.smoke) opts.scale = kSmokeScale;
+  const uint32_t flag_queries = UintFlag(argc, argv, "--queries=");
+  const uint32_t queries = flag_queries > 0 ? flag_queries : 6;
 
   BenchCells cells(ParseJobs(argc, argv));
   uint8_t gate_ok = 0;
@@ -304,7 +282,7 @@ int Main(int argc, char** argv) {
       after_gate ? "PASS" : "FAIL", migrated ? "PASS" : "FAIL");
   gates_pass = gates_pass && before_gate && after_gate && migrated;
 
-  if (!extra.summary_json.empty()) {
+  if (!opts.summary_json.empty()) {
     summary.Set("scattered_p50_s", scattered.p50_s);
     summary.Set("adapt_p50_s", adapt.p50_s);
     summary.Set("converged_p50_s", converged.p50_s);
@@ -328,15 +306,8 @@ int Main(int argc, char** argv) {
                 static_cast<double>(adapt.report.totals.heat_samples));
     summary.Set("clustering_quality", adapt.report.clustering_quality);
 
-    FILE* f = std::fopen(extra.summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.summary_json.c_str());
-      return 1;
-    }
-    const std::string json = summary.ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
+    if (!WriteTextFile(opts.summary_json, summary.ToJson())) return 1;
+    std::printf("wrote run summary to %s\n", opts.summary_json.c_str());
   }
 
   // StatStore records, one per phase, for BENCH_results.json.
@@ -356,8 +327,7 @@ int Main(int argc, char** argv) {
     rec.FillFrom(row.r->report.totals, row.r->report.span_seconds);
     stats.Add(rec);
   }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return gates_pass ? 0 : 1;
 }
 

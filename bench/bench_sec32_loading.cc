@@ -26,13 +26,7 @@ int Main(int argc, char** argv) {
   // The loading bench defaults to scale 10 (100k providers): the
   // incremental-index and relocation paths do real per-object work and the
   // shape is scale-free. Use --scale=1 for the full 4M-object load.
-  if (opts.scale == 1) {
-    bool explicit_scale = false;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--scale=", 8) == 0) explicit_scale = true;
-    }
-    if (!explicit_scale) opts.scale = 10;
-  }
+  if (!opts.scale_given) opts.scale = 10;
 
   const LoadCase kCases[] = {
       {"index after load, tx on, 4MB client cache (first attempt)",

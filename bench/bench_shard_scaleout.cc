@@ -30,8 +30,7 @@
 // losing cross-client locality of the single shared server cache; hash
 // placement keeps per-shard admissions within a tight band.
 //
-// Extra flags (parsed from raw argv, beyond the common --scale/--csv and
-// --jobs=N):
+// Extra flags (beyond the common --scale/--csv and --jobs=N):
 //   --servers=N          sweep server counts {1, N} instead of the default
 //   --clients=N          client count of every swept run (default 8)
 //   --queries=N          measured queries per client (default 6; smoke 3)
@@ -56,38 +55,6 @@
 
 namespace treebench::bench {
 namespace {
-
-struct ExtraArgs {
-  bool smoke = false;        // --scale=0
-  uint32_t servers = 0;      // --servers=N (0 = default sweep)
-  uint32_t clients = 0;      // --clients=N (0 = default)
-  uint32_t queries = 0;      // --queries=N (0 = default)
-  std::string json_path;     // --json=PATH
-  std::string summary_json;  // --summary-json=PATH
-};
-
-// The common ParseArgs clamps --scale to >= 1, so smoke mode (--scale=0)
-// must be detected from raw argv.
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--servers=", 10) == 0) {
-      extra.servers = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      extra.clients = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      extra.queries = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      extra.json_path = arg + 7;
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    }
-  }
-  return extra;
-}
 
 WorkloadSpec BaseSpec(uint32_t clients, uint32_t queries) {
   WorkloadSpec spec;
@@ -133,31 +100,18 @@ bool CheckSingleServerIdentity(DerbyDb& derby, uint32_t clients,
 }
 
 /// Out-slot of one workload cell.
-struct RunOut {
-  bool ok = false;
-  WorkloadReport report;
-  uint64_t server_cache_bytes = 0;
-  uint64_t client_cache_bytes = 0;
+struct RunOut : WorkloadRun {
   double recovery_ns = 0;
 };
 
 void RecordRun(StatStore* stats, telemetry::FlatRun* summary,
                const std::string& run_label, const RunOut& out) {
   const WorkloadReport& report = out.report;
-  StatRecord rec;
+  StatRecord rec = WorkloadStatRecord(out);
   rec.database = "derby-2e3x1e3";
   rec.cluster = "class";
   rec.algo = "shard_scaleout";
   rec.query_text = run_label;
-  rec.num_clients = report.spec.num_clients;
-  rec.throughput_qps = report.throughput_qps;
-  rec.latency_p50_s = report.latencies.Quantile(0.50) / 1e9;
-  rec.latency_p95_s = report.latencies.Quantile(0.95) / 1e9;
-  rec.latency_p99_s = report.latencies.Quantile(0.99) / 1e9;
-  rec.result_count = report.total_queries;
-  rec.server_cache_bytes = out.server_cache_bytes;
-  rec.client_cache_bytes = out.client_cache_bytes;
-  rec.FillFrom(report.totals, report.span_seconds);
   stats->Add(rec);
 
   if (summary == nullptr) return;
@@ -185,17 +139,19 @@ void RecordRun(StatStore* stats, telemetry::FlatRun* summary,
 
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
-  const uint32_t queries = extra.queries > 0 ? extra.queries
-                           : extra.smoke    ? 3
+  if (opts.smoke) opts.scale = kSmokeScale;
+  const uint32_t flag_servers = UintFlag(argc, argv, "--servers=");
+  const uint32_t flag_clients = UintFlag(argc, argv, "--clients=");
+  const uint32_t flag_queries = UintFlag(argc, argv, "--queries=");
+  const uint32_t queries = flag_queries > 0 ? flag_queries
+                           : opts.smoke     ? 3
                                             : 6;
-  const uint32_t clients = extra.clients > 0 ? extra.clients : 8;
+  const uint32_t clients = flag_clients > 0 ? flag_clients : 8;
 
   std::vector<uint32_t> server_counts;
-  if (extra.servers > 0) {
-    server_counts = {1, extra.servers};
-  } else if (extra.smoke) {
+  if (flag_servers > 0) {
+    server_counts = {1, flag_servers};
+  } else if (opts.smoke) {
     server_counts = {1, 2, 4};
   } else {
     server_counts = {1, 2, 4, 8};
@@ -230,17 +186,8 @@ int Main(int argc, char** argv) {
   auto run_cell = [&](RunOut& out, const WorkloadSpec& spec,
                       const char* what) {
     auto derby = build();
-    auto report = RunWorkload(derby.get(), spec);
-    if (!report.ok()) {
-      std::fprintf(stderr, "FATAL: %s: %s\n", what,
-                   report.status().ToString().c_str());
-      return 1;
-    }
-    out.server_cache_bytes = derby->db->cache().config().server_bytes;
-    out.client_cache_bytes = derby->db->cache().config().client_bytes;
+    if (!RunWorkloadInto(derby.get(), spec, what, &out)) return 1;
     out.recovery_ns = derby->db->sim().model().server_recovery_ns;
-    out.report = std::move(*report);
-    out.ok = true;
     return 0;
   };
 
@@ -280,7 +227,7 @@ int Main(int argc, char** argv) {
 
   StatStore stats;
   telemetry::FlatRun summary;
-  telemetry::FlatRun* sump = extra.summary_json.empty() ? nullptr : &summary;
+  telemetry::FlatRun* sump = opts.summary_json.empty() ? nullptr : &summary;
   std::string json = "[\n";
   bool first_json = true;
   bool ok = gate_ok != 0;
@@ -430,29 +377,15 @@ int Main(int argc, char** argv) {
       "the unprotected configuration fails every query that hits the dead "
       "shard's recovery window\n");
 
-  if (!extra.json_path.empty()) {
-    FILE* f = std::fopen(extra.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote workload reports to %s\n", extra.json_path.c_str());
+  if (!opts.json_path.empty()) {
+    if (!WriteTextFile(opts.json_path, json)) return 1;
+    std::printf("wrote workload reports to %s\n", opts.json_path.c_str());
   }
-  if (!extra.summary_json.empty()) {
-    FILE* f = std::fopen(extra.summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.summary_json.c_str());
-      return 1;
-    }
-    const std::string s = summary.ToJson();
-    std::fwrite(s.data(), 1, s.size(), f);
-    std::fclose(f);
-    std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
+  if (!opts.summary_json.empty()) {
+    if (!WriteTextFile(opts.summary_json, summary.ToJson())) return 1;
+    std::printf("wrote run summary to %s\n", opts.summary_json.c_str());
   }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return ok ? 0 : 1;
 }
 

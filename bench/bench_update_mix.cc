@@ -29,7 +29,6 @@
 //   --scale=0            smoke mode: tiny database (scale 64), 3
 //                        queries/client — the CI config.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,30 +42,6 @@
 
 namespace treebench::bench {
 namespace {
-
-struct ExtraArgs {
-  bool smoke = false;        // --scale=0
-  uint32_t clients = 0;      // --clients=N (0 = default counts)
-  uint32_t queries = 0;      // --queries=N (0 = default)
-  std::string summary_json;  // --summary-json=PATH
-};
-
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      extra.clients = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      extra.queries = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    }
-  }
-  return extra;
-}
 
 WorkloadSpec MixSpec(uint32_t clients, uint32_t queries, double ratio) {
   WorkloadSpec spec;
@@ -103,9 +78,8 @@ bool CheckRatioZeroBitIdentity(ClusteringStrategy clustering,
 
   auto hooked_db = BuildDerbyOrDie(2000, 1000, clustering, opts);
   TxnManager idle(hooked_db->db.get());
-  idle.Install();
+  TwoLevelCache::LockHookScope idle_hook(&hooked_db->db->cache(), &idle);
   auto hooked = RunWorkload(hooked_db.get(), spec);
-  idle.Uninstall();
   if (!hooked.ok()) {
     std::fprintf(stderr, "FATAL: hooked ratio-0 run: %s\n",
                  hooked.status().ToString().c_str());
@@ -129,26 +103,19 @@ bool CheckRatioZeroBitIdentity(ClusteringStrategy clustering,
   return identical;
 }
 
-/// Out-slot of one (clustering x ratio x clients) sweep cell.
-struct MixOut {
-  bool ok = false;
-  WorkloadReport report;
-  uint64_t server_cache_bytes = 0;
-  uint64_t client_cache_bytes = 0;
-};
-
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
-  const uint32_t queries = extra.queries > 0 ? extra.queries
-                           : extra.smoke    ? 3
+  if (opts.smoke) opts.scale = kSmokeScale;
+  const uint32_t flag_clients = UintFlag(argc, argv, "--clients=");
+  const uint32_t flag_queries = UintFlag(argc, argv, "--queries=");
+  const uint32_t queries = flag_queries > 0 ? flag_queries
+                           : opts.smoke     ? 3
                                             : 8;
 
   std::vector<uint32_t> counts;
-  if (extra.clients > 0) {
-    counts = {1, extra.clients};
-  } else if (extra.smoke) {
+  if (flag_clients > 0) {
+    counts = {1, flag_clients};
+  } else if (opts.smoke) {
     counts = {1, 4};
   } else {
     counts = {1, 4, 16};
@@ -161,7 +128,7 @@ int Main(int argc, char** argv) {
   BenchCells cells(ParseJobs(argc, argv));
   // Not vector<bool>: its bit-packing would let two cells race on one byte.
   std::vector<uint8_t> gate_ok(clusterings.size(), 0);
-  std::vector<std::vector<MixOut>> sweeps(clusterings.size());
+  std::vector<std::vector<WorkloadRun>> sweeps(clusterings.size());
   for (auto& per_cluster : sweeps) {
     per_cluster.resize(ratios.size() * counts.size());
   }
@@ -186,19 +153,13 @@ int Main(int argc, char** argv) {
             std::to_string(n);
         cells.Add(run_label, [&, ci, slot, ratio, n, clustering] {
           auto derby = BuildDerbyOrDie(2000, 1000, clustering, opts);
-          MixOut& out = sweeps[ci][slot];
-          auto report = RunWorkload(derby.get(), MixSpec(n, queries, ratio));
-          if (!report.ok()) {
-            std::fprintf(stderr,
-                         "FATAL: workload (ratio %.2f, %u clients): %s\n",
-                         ratio, n, report.status().ToString().c_str());
-            return 1;
-          }
-          out.server_cache_bytes = derby->db->cache().config().server_bytes;
-          out.client_cache_bytes = derby->db->cache().config().client_bytes;
-          out.report = std::move(*report);
-          out.ok = true;
-          return 0;
+          WorkloadRun& out = sweeps[ci][slot];
+          char what[64];
+          std::snprintf(what, sizeof(what), "workload (ratio %.2f, %u clients)",
+                        ratio, n);
+          const bool ran = RunWorkloadInto(
+              derby.get(), MixSpec(n, queries, ratio), what, &out);
+          return ran ? 0 : 1;
         });
       }
     }
@@ -220,7 +181,7 @@ int Main(int argc, char** argv) {
       for (size_t ni = 0; ni < counts.size(); ++ni) {
         const double ratio = ratios[ri];
         const uint32_t n = counts[ni];
-        const MixOut& out = sweeps[ci][ri * counts.size() + ni];
+        const WorkloadRun& out = sweeps[ci][ri * counts.size() + ni];
         if (!out.ok) return 1;
         const WorkloadReport& report = out.report;
         const Metrics& t = report.totals;
@@ -228,7 +189,7 @@ int Main(int argc, char** argv) {
             cluster_label + "_r" + std::to_string(int(ratio * 100)) + "_c" +
             std::to_string(n);
 
-        if (!extra.summary_json.empty()) {
+        if (!opts.summary_json.empty()) {
           summary.Set(run_label + "_total_queries",
                       static_cast<double>(report.total_queries));
           summary.Set(run_label + "_failed_queries",
@@ -281,22 +242,13 @@ int Main(int argc, char** argv) {
              WithThousands(t.undo_bytes), WithThousands(t.redo_bytes),
              FormatSeconds(wamp, 2)});
 
-        StatRecord rec;
+        StatRecord rec = WorkloadStatRecord(out);
         rec.database = "derby-2e3x1e3";
         rec.cluster = cluster_label;
         rec.algo = "update_mix";
         rec.query_text =
             "mixed selection/tree/update workload (zipf 0.6, ratio " +
             std::to_string(ratio) + ")";
-        rec.num_clients = n;
-        rec.throughput_qps = report.throughput_qps;
-        rec.latency_p50_s = report.latencies.Quantile(0.50) / 1e9;
-        rec.latency_p95_s = report.latencies.Quantile(0.95) / 1e9;
-        rec.latency_p99_s = report.latencies.Quantile(0.99) / 1e9;
-        rec.result_count = report.total_queries;
-        rec.server_cache_bytes = out.server_cache_bytes;
-        rec.client_cache_bytes = out.client_cache_bytes;
-        rec.FillFrom(report.totals, report.span_seconds);
         stats.Add(rec);
       }
     }
@@ -312,19 +264,11 @@ int Main(int argc, char** argv) {
       "appears only with >= 2 clients; undo tracks dirtied pages, redo "
       "tracks update count\n");
 
-  if (!extra.summary_json.empty()) {
-    FILE* f = std::fopen(extra.summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.summary_json.c_str());
-      return 1;
-    }
-    const std::string json = summary.ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
+  if (!opts.summary_json.empty()) {
+    if (!WriteTextFile(opts.summary_json, summary.ToJson())) return 1;
+    std::printf("wrote run summary to %s\n", opts.summary_json.c_str());
   }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return gates_pass ? 0 : 1;
 }
 

@@ -17,8 +17,7 @@
 // cell-runner pool (docs/parallel_harness.md) and merged in submission
 // order, so output and artifacts are byte-identical at any --jobs value.
 //
-// Extra flags (parsed from raw argv, beyond the common --scale/--csv and
-// the harness's --jobs=N):
+// Extra flags (beyond the common --scale/--csv and the harness's --jobs=N):
 //   --clients=N          cap/select the swept client counts (runs {1, N})
 //   --queries=N          measured queries per client (default 8; smoke 3)
 //   --json=PATH          deterministic JSON array of every WorkloadReport
@@ -39,7 +38,6 @@
 //   --scale=0            smoke mode: tiny database (scale 64), counts {1, 4
 //                        or --clients}, 3 queries/client — the CI config.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,52 +55,6 @@
 
 namespace treebench::bench {
 namespace {
-
-struct ExtraArgs {
-  bool smoke = false;           // --scale=0
-  uint32_t clients = 0;         // --clients=N (0 = full sweep)
-  uint32_t queries = 0;         // --queries=N (0 = default)
-  std::string json_path;        // --json=PATH
-  std::string telemetry_dir;    // --telemetry-dir=DIR
-  std::string summary_json;     // --summary-json=PATH
-  std::string query_log_dir;    // --query-log-dir=DIR
-};
-
-// The common ParseArgs clamps --scale to >= 1, so smoke mode (--scale=0)
-// must be detected from raw argv.
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      extra.clients = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      extra.queries = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      extra.json_path = arg + 7;
-    } else if (std::strncmp(arg, "--telemetry-dir=", 16) == 0) {
-      extra.telemetry_dir = arg + 16;
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    } else if (std::strncmp(arg, "--query-log-dir=", 16) == 0) {
-      extra.query_log_dir = arg + 16;
-    }
-  }
-  return extra;
-}
-
-bool WriteFileOrWarn(const std::string& path, const std::string& content) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
-}
 
 WorkloadSpec SweepSpec(uint32_t clients, uint32_t queries) {
   WorkloadSpec spec;
@@ -174,28 +126,19 @@ bool CheckOneClientExact(DerbyDb& derby) {
   return exact;
 }
 
-/// Out-slot of one (clustering x client-count) sweep cell. Each slot is
-/// written by exactly one cell; the main thread reads them only after the
-/// pool drains.
-struct SweepOut {
-  bool ok = false;
-  WorkloadReport report;
-  uint64_t server_cache_bytes = 0;
-  uint64_t client_cache_bytes = 0;
-};
-
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
-  const uint32_t queries = extra.queries > 0 ? extra.queries
-                           : extra.smoke    ? 3
+  if (opts.smoke) opts.scale = kSmokeScale;
+  const uint32_t flag_clients = UintFlag(argc, argv, "--clients=");
+  const uint32_t flag_queries = UintFlag(argc, argv, "--queries=");
+  const uint32_t queries = flag_queries > 0 ? flag_queries
+                           : opts.smoke     ? 3
                                             : 8;
 
   std::vector<uint32_t> counts;
-  if (extra.clients > 0) {
-    counts = {1, extra.clients};
-  } else if (extra.smoke) {
+  if (flag_clients > 0) {
+    counts = {1, flag_clients};
+  } else if (opts.smoke) {
     counts = {1, 4};
   } else {
     counts = {1, 2, 4, 8, 16, 32, 64};
@@ -211,7 +154,10 @@ int Main(int argc, char** argv) {
   BenchCells cells(ParseJobs(argc, argv));
   // Not vector<bool>: its bit-packing would let two cells race on one byte.
   std::vector<uint8_t> gate_ok(clusterings.size(), 0);
-  std::vector<std::vector<SweepOut>> sweeps(clusterings.size());
+  // One out-slot per (clustering x client-count) sweep cell. Each slot is
+  // written by exactly one cell; the main thread reads them only after the
+  // pool drains.
+  std::vector<std::vector<WorkloadRun>> sweeps(clusterings.size());
   for (auto& per_cluster : sweeps) per_cluster.resize(counts.size());
 
   for (size_t ci = 0; ci < clusterings.size(); ++ci) {
@@ -227,8 +173,8 @@ int Main(int argc, char** argv) {
       const std::string run_label = cluster_label + "_c" + std::to_string(n);
       cells.Add(run_label, [&, ci, ni, n, clustering, run_label] {
         auto derby = BuildDerbyOrDie(2000, 1000, clustering, opts);
-        SweepOut& out = sweeps[ci][ni];
-        const bool want_telemetry = !extra.telemetry_dir.empty();
+        WorkloadRun& out = sweeps[ci][ni];
+        const bool want_telemetry = !opts.telemetry_dir.empty();
         WorkloadTelemetry tel;
         // Folded stacks come from the span tree, so a trace session wraps
         // the run when telemetry is requested (neither changes any counter).
@@ -240,29 +186,28 @@ int Main(int argc, char** argv) {
         // The flight recorder is a pure observer: counters and latencies
         // are identical with and without it (test-enforced), so enabling it
         // for the artifact export does not perturb the sweep.
-        if (!extra.query_log_dir.empty()) sweep_spec.query_log = true;
-        auto report = RunWorkload(derby.get(), sweep_spec,
-                                  want_telemetry ? &tel : nullptr);
-        if (!report.ok()) {
-          std::fprintf(stderr, "FATAL: workload (%u clients): %s\n", n,
-                       report.status().ToString().c_str());
+        if (!opts.query_log_dir.empty()) sweep_spec.query_log = true;
+        if (!RunWorkloadInto(derby.get(), sweep_spec,
+                             "workload (" + std::to_string(n) + " clients)",
+                             &out, want_telemetry ? &tel : nullptr)) {
           return 1;
         }
+        const WorkloadReport& report = out.report;
         bool files_ok = true;
         if (want_telemetry) {
-          const std::string base = extra.telemetry_dir + "/" + run_label;
+          const std::string base = opts.telemetry_dir + "/" + run_label;
           files_ok =
-              WriteFileOrWarn(base + ".timeseries.csv", tel.series.ToCsv()) &&
+              WriteTextFile(base + ".timeseries.csv", tel.series.ToCsv()) &&
               files_ok;
-          files_ok = WriteFileOrWarn(base + ".timeseries.jsonl",
+          files_ok = WriteTextFile(base + ".timeseries.jsonl",
                                      tel.series.ToJsonl()) &&
                      files_ok;
-          files_ok = WriteFileOrWarn(base + ".chrome.json",
+          files_ok = WriteTextFile(base + ".chrome.json",
                                      tel.ChromeTraceJson()) &&
                      files_ok;
           std::unique_ptr<TraceNode> span_root = trace_session->Take();
           files_ok =
-              WriteFileOrWarn(base + ".folded",
+              WriteTextFile(base + ".folded",
                               span_root != nullptr
                                   ? telemetry::TraceToFoldedStacks(*span_root)
                                   : std::string()) &&
@@ -273,25 +218,22 @@ int Main(int argc, char** argv) {
                        base.c_str(), tel.series.num_samples(),
                        tel.query_slices.size());
         }
-        if (!extra.query_log_dir.empty()) {
-          const std::string base = extra.query_log_dir + "/" + run_label;
-          files_ok = WriteFileOrWarn(base + ".querylog.jsonl",
-                                     report->query_log.ToJsonl()) &&
+        if (!opts.query_log_dir.empty()) {
+          const std::string base = opts.query_log_dir + "/" + run_label;
+          files_ok = WriteTextFile(base + ".querylog.jsonl",
+                                     report.query_log.ToJsonl()) &&
                      files_ok;
-          files_ok = WriteFileOrWarn(base + ".querylog.csv",
-                                     report->query_log.ToCsv()) &&
+          files_ok = WriteTextFile(base + ".querylog.csv",
+                                     report.query_log.ToCsv()) &&
                      files_ok;
           files_ok =
-              WriteFileOrWarn(base + ".tail.txt", report->tail.ToString()) &&
+              WriteTextFile(base + ".tail.txt", report.tail.ToString()) &&
               files_ok;
           std::fprintf(Out(),
                        "query log: %s.{querylog.jsonl,querylog.csv,tail.txt} "
                        "(%zu records)\n",
-                       base.c_str(), report->query_log.records().size());
+                       base.c_str(), report.query_log.records().size());
         }
-        out.server_cache_bytes = derby->db->cache().config().server_bytes;
-        out.client_cache_bytes = derby->db->cache().config().client_bytes;
-        out.report = std::move(*report);
         out.ok = files_ok;
         return files_ok ? 0 : 1;
       });
@@ -318,14 +260,14 @@ int Main(int argc, char** argv) {
     double qps1 = 0;
     for (size_t ni = 0; ni < counts.size(); ++ni) {
       const uint32_t n = counts[ni];
-      SweepOut& out = sweeps[ci][ni];
+      WorkloadRun& out = sweeps[ci][ni];
       if (!out.ok) {
         telemetry_ok = false;
         continue;
       }
       const WorkloadReport& report = out.report;
       const std::string run_label = cluster_label + "_c" + std::to_string(n);
-      if (!extra.summary_json.empty()) {
+      if (!opts.summary_json.empty()) {
         const Metrics& t = report.totals;
         summary.Set(run_label + "_total_queries",
                     static_cast<double>(report.total_queries));
@@ -364,20 +306,11 @@ int Main(int argc, char** argv) {
            FormatSeconds(report.fairness_ratio, 3),
            WithThousands(report.totals.disk_reads)});
 
-      StatRecord rec;
+      StatRecord rec = WorkloadStatRecord(out);
       rec.database = "derby-2e3x1e3";
       rec.cluster = cluster_label;
       rec.algo = "workload";
       rec.query_text = "mixed selection/tree workload (zipf 0.6)";
-      rec.num_clients = n;
-      rec.throughput_qps = report.throughput_qps;
-      rec.latency_p50_s = report.latencies.Quantile(0.50) / 1e9;
-      rec.latency_p95_s = report.latencies.Quantile(0.95) / 1e9;
-      rec.latency_p99_s = report.latencies.Quantile(0.99) / 1e9;
-      rec.result_count = report.total_queries;
-      rec.server_cache_bytes = out.server_cache_bytes;
-      rec.client_cache_bytes = out.client_cache_bytes;
-      rec.FillFrom(report.totals, report.span_seconds);
       stats.Add(rec);
 
       if (!first_json) json += ",\n";
@@ -398,25 +331,18 @@ int Main(int argc, char** argv) {
       "grows with clients) while zipf sharing keeps per-client disk reads "
       "below N independent cold runs\n");
 
-  if (!extra.json_path.empty()) {
-    FILE* f = std::fopen(extra.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote workload reports to %s\n", extra.json_path.c_str());
+  if (!opts.json_path.empty()) {
+    if (!WriteTextFile(opts.json_path, json)) return 1;
+    std::printf("wrote workload reports to %s\n", opts.json_path.c_str());
   }
-  if (!extra.summary_json.empty()) {
-    if (WriteFileOrWarn(extra.summary_json, summary.ToJson())) {
-      std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
+  if (!opts.summary_json.empty()) {
+    if (WriteTextFile(opts.summary_json, summary.ToJson())) {
+      std::printf("wrote run summary to %s\n", opts.summary_json.c_str());
     } else {
       telemetry_ok = false;
     }
   }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ExportStats(stats, opts);
   return cells_ok && all_exact && telemetry_ok ? 0 : 1;
 }
 

@@ -87,6 +87,8 @@ BenchOptions ParseArgs(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
       opts.scale = static_cast<uint32_t>(std::max(1L, std::atol(arg + 8)));
+      opts.scale_given = true;
+      if (std::strcmp(arg + 8, "0") == 0) opts.smoke = true;
     } else if (std::strncmp(arg, "--csv=", 6) == 0) {
       opts.csv_path = arg + 6;
     } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
@@ -95,6 +97,14 @@ BenchOptions ParseArgs(int argc, char** argv) {
       opts.trace_json_path = arg + 13;
     } else if (std::strncmp(arg, "--perf-json=", 12) == 0) {
       opts.perf_json_path = arg + 12;
+    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
+      opts.summary_json = arg + 15;
+    } else if (std::strncmp(arg, "--json=", 7) == 0) {
+      opts.json_path = arg + 7;
+    } else if (std::strncmp(arg, "--telemetry-dir=", 16) == 0) {
+      opts.telemetry_dir = arg + 16;
+    } else if (std::strncmp(arg, "--query-log-dir=", 16) == 0) {
+      opts.query_log_dir = arg + 16;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       opts.verbose = true;
     }
@@ -105,6 +115,26 @@ BenchOptions ParseArgs(int argc, char** argv) {
     std::atexit(WritePerfJson);
   }
   return opts;
+}
+
+uint32_t UintFlag(int argc, char** argv, const char* prefix) {
+  const size_t n = std::strlen(prefix);
+  uint32_t value = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], prefix, n) == 0) {
+      value = static_cast<uint32_t>(std::atol(argv[i] + n));
+    }
+  }
+  return value;
+}
+
+bool WriteTextFile(const std::string& path, const std::string& content) {
+  FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr &&
+            std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return ok;
 }
 
 void RecordHarnessPerf(const CellRunner& runner) {
@@ -237,25 +267,55 @@ void RunTreeQueryGrid(DerbyDb& derby, const std::string& db_label,
              rows);
 }
 
-void MaybeExportCsv(const StatStore& stats, const BenchOptions& opts) {
-  if (opts.csv_path.empty()) return;
-  Status s = stats.ExportCsv(opts.csv_path);
-  if (!s.ok()) {
-    std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
-  } else {
-    std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
-                 opts.csv_path.c_str());
+bool RunWorkloadInto(DerbyDb* derby, const WorkloadSpec& spec,
+                     const std::string& what, WorkloadRun* out,
+                     WorkloadTelemetry* telemetry) {
+  auto report = RunWorkload(derby, spec, telemetry);
+  if (!report.ok()) {
+    std::fprintf(stderr, "FATAL: %s: %s\n", what.c_str(),
+                 report.status().ToString().c_str());
+    return false;
   }
+  out->report = std::move(report).value();
+  out->server_cache_bytes = derby->db->cache().config().server_bytes;
+  out->client_cache_bytes = derby->db->cache().config().client_bytes;
+  out->ok = true;
+  return true;
 }
 
-void MaybeExportStatsJson(const StatStore& stats, const BenchOptions& opts) {
-  if (opts.stats_json_path.empty()) return;
-  Status s = stats.ExportJson(opts.stats_json_path);
-  if (!s.ok()) {
-    std::fprintf(stderr, "json export failed: %s\n", s.ToString().c_str());
-  } else {
-    std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
-                 opts.stats_json_path.c_str());
+StatRecord WorkloadStatRecord(const WorkloadRun& run) {
+  const WorkloadReport& r = run.report;
+  StatRecord rec;
+  rec.num_clients = r.spec.num_clients;
+  rec.throughput_qps = r.throughput_qps;
+  rec.latency_p50_s = r.latencies.Quantile(0.50) / 1e9;
+  rec.latency_p95_s = r.latencies.Quantile(0.95) / 1e9;
+  rec.latency_p99_s = r.latencies.Quantile(0.99) / 1e9;
+  rec.result_count = r.total_queries;
+  rec.server_cache_bytes = run.server_cache_bytes;
+  rec.client_cache_bytes = run.client_cache_bytes;
+  rec.FillFrom(r.totals, r.span_seconds);
+  return rec;
+}
+
+void ExportStats(const StatStore& stats, const BenchOptions& opts) {
+  if (!opts.csv_path.empty()) {
+    Status s = stats.ExportCsv(opts.csv_path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
+    } else {
+      std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
+                   opts.csv_path.c_str());
+    }
+  }
+  if (!opts.stats_json_path.empty()) {
+    Status s = stats.ExportJson(opts.stats_json_path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "json export failed: %s\n", s.ToString().c_str());
+    } else {
+      std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
+                   opts.stats_json_path.c_str());
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include "src/benchdb/derby.h"
 #include "src/harness/cell_runner.h"
 #include "src/stats/stat_store.h"
+#include "src/workload/sim_scheduler.h"
 
 namespace treebench::bench {
 
@@ -36,13 +37,42 @@ struct BenchOptions {
   /// (ROADMAP item 5a, docs/parallel_harness.md).
   std::string perf_json_path;
   bool verbose = false;
+  /// True for an exact --scale=0: smoke mode. `scale` is still clamped to
+  /// 1; the extension benches that define a smoke config switch to
+  /// kSmokeScale (and their smaller sweeps) themselves.
+  bool smoke = false;
+  /// True when any --scale= flag was given, so benches whose default is
+  /// not paper scale can tell "--scale=1" from no flag at all.
+  bool scale_given = false;
+  /// Optional path for a flat {"key": number} run summary — the format
+  /// bench/check_regression diffs against bench/baselines/*.json.
+  std::string summary_json;
+  /// Optional path for a deterministic JSON array of the bench's
+  /// WorkloadReports.
+  std::string json_path;
+  /// Optional directories for per-run workload telemetry and query logs.
+  std::string telemetry_dir;
+  std::string query_log_dir;
 };
 
+/// The database scale of every extension bench's --scale=0 smoke config.
+inline constexpr uint32_t kSmokeScale = 64;
+
 /// Parses --scale=N, --csv=PATH, --stats-json=PATH, --trace-json=PATH,
-/// --perf-json=PATH, --verbose; ignores unknown flags (so google-benchmark
-/// style flags pass through if ever mixed). --perf-json also starts the
-/// wall-clock timer and registers the exit-time writer.
+/// --perf-json=PATH, --summary-json=PATH, --json=PATH, --telemetry-dir=DIR,
+/// --query-log-dir=DIR, --verbose; ignores unknown flags (so
+/// google-benchmark style flags pass through if ever mixed). --scale values
+/// below 1 (and garbage) clamp to 1. --perf-json also starts the wall-clock
+/// timer and registers the exit-time writer.
 BenchOptions ParseArgs(int argc, char** argv);
+
+/// The value of the last `prefix`N flag (e.g. prefix "--clients="), read
+/// with atol; 0 when absent. For the flags only one bench understands.
+uint32_t UintFlag(int argc, char** argv, const char* prefix);
+
+/// Writes `content` to `path`. When the file cannot be opened, written or
+/// closed, prints "cannot write PATH" to stderr and returns false.
+bool WriteTextFile(const std::string& path, const std::string& content);
 
 /// Prints a ruled table: header row then rows; columns auto-sized.
 void PrintTable(const std::string& title,
@@ -84,11 +114,28 @@ void RunTreeQueryGrid(DerbyDb& derby, const std::string& db_label,
                       const PaperGrid& paper, const BenchOptions& opts,
                       StatStore* stats);
 
-/// Dumps the stat store to opts.csv_path when set.
-void MaybeExportCsv(const StatStore& stats, const BenchOptions& opts);
+/// One finished workload run, handed from a bench cell to the merge step.
+struct WorkloadRun {
+  bool ok = false;
+  WorkloadReport report;
+  uint64_t server_cache_bytes = 0;
+  uint64_t client_cache_bytes = 0;
+};
 
-/// Dumps the stat store as JSON to opts.stats_json_path when set.
-void MaybeExportStatsJson(const StatStore& stats, const BenchOptions& opts);
+/// Runs `spec` on `derby` into `out` (the report plus the database's cache
+/// sizes). On failure prints "FATAL: <what>: <status>" and returns false.
+bool RunWorkloadInto(DerbyDb* derby, const WorkloadSpec& spec,
+                     const std::string& what, WorkloadRun* out,
+                     WorkloadTelemetry* telemetry = nullptr);
+
+/// The StatRecord fields every workload bench fills alike: client count,
+/// throughput, latency percentiles, completed queries, cache sizes and the
+/// Metrics totals over the measured span.
+StatRecord WorkloadStatRecord(const WorkloadRun& run);
+
+/// Dumps the stat store as CSV to opts.csv_path and as JSON to
+/// opts.stats_json_path, each when set.
+void ExportStats(const StatStore& stats, const BenchOptions& opts);
 
 }  // namespace treebench::bench
 

@@ -188,6 +188,7 @@ class TwoLevelCache {
     prefetched_.clear();
     return prev;
   }
+  LruPageCache* bound_client_cache() const { return client_; }
 
   /// Binds the page-level locking hook (nullptr unbinds). Returns the
   /// previously bound hook so callers can nest, mirroring BindClientCache.
@@ -197,6 +198,21 @@ class TwoLevelCache {
     return prev;
   }
   PageLockHook* lock_hook() const { return lock_hook_; }
+
+  /// Installs `hook` for the life of the scope and reinstalls the previous
+  /// hook on every exit path (scopes nest).
+  class [[nodiscard]] LockHookScope {
+   public:
+    LockHookScope(TwoLevelCache* cache, PageLockHook* hook)
+        : cache_(cache), prev_(cache->BindLockHook(hook)) {}
+    ~LockHookScope() { cache_->BindLockHook(prev_); }
+    LockHookScope(const LockHookScope&) = delete;
+    LockHookScope& operator=(const LockHookScope&) = delete;
+
+   private:
+    TwoLevelCache* cache_;
+    PageLockHook* prev_;
+  };
 
   /// Drops `keys` from the client level and every shard partition without
   /// flushing — the physical-rollback path of a transaction abort discards

@@ -86,6 +86,22 @@ struct DatabaseOptions {
   PlacementOptions placement;
 };
 
+/// One client's private slice of the engine: the virtual clock (and Metrics)
+/// its work is charged to, its client-level page cache and its handle space.
+/// The server cache level, the disk, the catalog and the indexes stay shared.
+/// Workload sessions and the background reorganizer each own one; while
+/// Database::Bind's scope is alive the shared engine charges, caches and
+/// materializes through it.
+struct ExecContext {
+  explicit ExecContext(uint32_t client_pages) : client_cache(client_pages) {}
+
+  SimClock clock;
+  LruPageCache client_cache;
+  HandleTable handles;
+};
+
+class ExecScope;
+
 /// One O2-like database: simulated disk + two-level cache + schema + object
 /// store + named collections + indexes, all charging a single SimContext.
 class Database {
@@ -97,6 +113,11 @@ class Database {
 
   SimContext& sim() { return sim_; }
   TwoLevelCache& cache() { return cache_; }
+  /// Installs `ctx` as the engine's clock, client cache and handle table
+  /// until the returned scope ends, which reinstalls the previous triple.
+  /// Scopes nest (LIFO). Callers must not hold ObjectHandle pointers across
+  /// a scope boundary.
+  [[nodiscard]] ExecScope Bind(ExecContext* ctx);
   /// Current page -> shard placement of the page service.
   const PlacementMap& placement() const { return cache_.placement(); }
   /// Repartitions the page service (validates, flushes through the old
@@ -220,6 +241,35 @@ class Database {
   ClusteringStrategy clustering_ = ClusteringStrategy::kClassClustered;
   uint32_t reload_generation_ = 0;
 };
+
+/// The guard Database::Bind returns. Binds clock, client cache and handle
+/// table in that order and unbinds in reverse on every exit path. The order
+/// is load-bearing: BindClientCache drops the readahead state, so another
+/// sequence would move the readahead counters.
+class [[nodiscard]] ExecScope {
+ public:
+  ExecScope(Database* db, ExecContext* ctx)
+      : db_(db),
+        prev_clock_(db->sim().BindClock(&ctx->clock)),
+        prev_cache_(db->cache().BindClientCache(&ctx->client_cache)),
+        prev_handles_(db->store().BindHandleTable(&ctx->handles)) {}
+  ~ExecScope() {
+    db_->store().BindHandleTable(prev_handles_);
+    db_->cache().BindClientCache(prev_cache_);
+    db_->sim().BindClock(prev_clock_);
+  }
+
+  ExecScope(const ExecScope&) = delete;
+  ExecScope& operator=(const ExecScope&) = delete;
+
+ private:
+  Database* db_;
+  SimClock* prev_clock_;
+  LruPageCache* prev_cache_;
+  HandleTable* prev_handles_;
+};
+
+inline ExecScope Database::Bind(ExecContext* ctx) { return {this, ctx}; }
 
 }  // namespace treebench
 

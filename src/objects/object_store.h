@@ -161,6 +161,7 @@ class ObjectStore {
     ht_ = table != nullptr ? table : &own_handles_;
     return prev;
   }
+  HandleTable* bound_handle_table() const { return ht_; }
   /// Binds `obs` as the access observer until rebound (nullptr unhooks).
   /// Returns the previously bound observer so callers can nest.
   ObjectAccessObserver* BindAccessObserver(ObjectAccessObserver* obs) {
@@ -169,6 +170,22 @@ class ObjectStore {
     return prev;
   }
   ObjectAccessObserver* access_observer() const { return observer_; }
+
+  /// Installs `obs` as the access observer for the life of the scope
+  /// (nullptr pauses observation) and reinstalls the previous observer on
+  /// every exit path.
+  class [[nodiscard]] ObserverScope {
+   public:
+    ObserverScope(ObjectStore* store, ObjectAccessObserver* obs)
+        : store_(store), prev_(store->BindAccessObserver(obs)) {}
+    ~ObserverScope() { store_->BindAccessObserver(prev_); }
+    ObserverScope(const ObserverScope&) = delete;
+    ObserverScope& operator=(const ObserverScope&) = delete;
+
+   private:
+    ObjectStore* store_;
+    ObjectAccessObserver* prev_;
+  };
 
   /// Frees all zombie handles immediately (e.g. at transaction end).
   void ReleaseZombies();

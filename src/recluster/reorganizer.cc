@@ -10,21 +10,6 @@ namespace treebench {
 
 namespace {
 
-/// The reorganizer's own reads must not feed the heat it is acting on —
-/// self-heat would make every migrated page look hot again immediately.
-class ObserverPause {
- public:
-  explicit ObserverPause(ObjectStore* store)
-      : store_(store), prev_(store->BindAccessObserver(nullptr)) {}
-  ~ObserverPause() { store_->BindAccessObserver(prev_); }
-  ObserverPause(const ObserverPause&) = delete;
-  ObserverPause& operator=(const ObserverPause&) = delete;
-
- private:
-  ObjectStore* store_;
-  ObjectAccessObserver* prev_;
-};
-
 IndexInfo* FindIndexById(Database* db, uint32_t id) {
   for (const auto& idx : db->indexes()) {
     if (idx->id == id) return idx.get();
@@ -36,7 +21,7 @@ IndexInfo* FindIndexById(Database* db, uint32_t id) {
 
 Reorganizer::Reorganizer(Database* db, TxnManager* txns, HeatTracker* heat,
                          uint32_t client_id)
-    : client_cache(db->cache().config().client_pages()),
+    : ctx(db->cache().config().client_pages()),
       db_(db),
       txns_(txns),
       heat_(heat),
@@ -273,7 +258,9 @@ Status Reorganizer::MigrateGroup(const Rid& parent, uint32_t* budget,
 }
 
 Status Reorganizer::RunRound() {
-  ObserverPause pause(&db_->store());
+  // The reorganizer's own reads must not feed the heat it is acting on —
+  // self-heat would make every migrated page look hot again immediately.
+  ObjectStore::ObserverScope pause(&db_->store(), nullptr);
   SimContext& sim = db_->sim();
   const double start_ns = sim.elapsed_ns();
 

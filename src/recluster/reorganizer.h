@@ -5,10 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/cache/lru_page_cache.h"
 #include "src/catalog/database.h"
-#include "src/cost/sim_context.h"
-#include "src/objects/object_store.h"
 #include "src/recluster/heat_tracker.h"
 #include "src/txn/txn_manager.h"
 
@@ -34,8 +31,9 @@ namespace treebench {
 ///    ServerStation fleet, so foreground clients genuinely queue behind
 ///    reclustering I/O (and vice versa).
 ///
-/// Like a ClientSession, the reorganizer owns a clock, a client-level page
-/// cache and a handle table; the scheduler binds them around each round.
+/// Like a ClientSession, the reorganizer owns an ExecContext (clock,
+/// client-level page cache, handle table); the scheduler installs it with
+/// Database::Bind around each round.
 class Reorganizer {
  public:
   Reorganizer(Database* db, TxnManager* txns, HeatTracker* heat,
@@ -45,8 +43,8 @@ class Reorganizer {
   Reorganizer& operator=(const Reorganizer&) = delete;
 
   /// One wake-up: select hot scattered paths and migrate up to the
-  /// per-round page budget. Must run with this reorganizer's bindings
-  /// active (the scheduler's job). Aborted migrations are survivable —
+  /// per-round page budget. Must run with `ctx` bound (the scheduler's
+  /// job). Aborted migrations are survivable —
   /// they roll back, count migration_aborts and the round moves on;
   /// returned errors are engine bugs.
   Status RunRound();
@@ -69,10 +67,8 @@ class Reorganizer {
   /// 0 disables.
   void set_fail_after_objects(uint64_t n) { fail_after_objects_ = n; }
 
-  // Bound by the scheduler around rounds (mirrors ClientSession).
-  SimClock clock;
-  LruPageCache client_cache;
-  HandleTable handles;
+  /// Bound by the scheduler around each round, like a ClientSession's.
+  ExecContext ctx;
 
  private:
   struct ExtentPos {

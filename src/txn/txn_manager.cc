@@ -6,12 +6,6 @@
 
 namespace treebench {
 
-TxnManager::~TxnManager() {
-  if (prev_hook_ != nullptr || db_->cache().lock_hook() == this) {
-    Uninstall();
-  }
-}
-
 Result<Transaction*> TxnManager::Begin(uint32_t client_id) {
   auto txn = std::make_unique<Transaction>();
   txn->id_ = ++next_id_;

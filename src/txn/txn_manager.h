@@ -87,7 +87,8 @@ class Transaction {
 ///    (insert/delete) is only admitted into journal-backed transactions,
 ///    so the logical path never needs to resurrect records.
 ///
-/// Installed as the TwoLevelCache's PageLockHook, the manager intercepts
+/// Installed as the TwoLevelCache's PageLockHook (through a
+/// TwoLevelCache::LockHookScope), the manager intercepts
 /// every page access of the active transaction: S locks for reads, X locks
 /// for writes, waits charged against the released-lock reservation
 /// timeline, and a wait-for-graph deadlock check whose victim (the
@@ -97,18 +98,9 @@ class Transaction {
 class TxnManager : public PageLockHook {
  public:
   explicit TxnManager(Database* db) : db_(db) {}
-  ~TxnManager() override;
 
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
-
-  /// Binds this manager as the cache's lock hook (nesting via the returned
-  /// previous hook is the caller's business; the scheduler saves/restores).
-  void Install() { prev_hook_ = db_->cache().BindLockHook(this); }
-  void Uninstall() {
-    db_->cache().BindLockHook(prev_hook_);
-    prev_hook_ = nullptr;
-  }
 
   /// Starts a transaction for `client_id` and makes it active. The first
   /// transaction to begin with none open becomes journal-backed.
@@ -121,12 +113,12 @@ class TxnManager : public PageLockHook {
 
   /// Aborts: physical page rollback for the journal owner, reverse logical
   /// replay otherwise; releases locks; invalidates `txn`. Must run with the
-  /// aborting transaction's session bindings in place (its clock takes the
-  /// rollback charges).
+  /// aborting transaction's ExecContext bound (its clock takes the rollback
+  /// charges).
   Status Abort(Transaction* txn);
 
   /// The transaction page accesses are attributed to. Begin sets it; the
-  /// differential tests switch it alongside their session bindings.
+  /// differential tests switch it to interleave their clients.
   Transaction* SetActive(Transaction* txn) {
     Transaction* prev = active_;
     active_ = txn;
@@ -157,7 +149,6 @@ class TxnManager : public PageLockHook {
 
   Database* db_;
   LockManager locks_;
-  PageLockHook* prev_hook_ = nullptr;
   Transaction* active_ = nullptr;
   std::unordered_map<uint64_t, std::unique_ptr<Transaction>> open_;
   uint64_t next_id_ = 0;

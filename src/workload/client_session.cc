@@ -28,7 +28,7 @@ uint64_t NumWindows(uint64_t num_patients, int64_t width) {
 
 ClientSession::ClientSession(uint32_t id, const WorkloadSpec& spec,
                              const DerbyDb& derby)
-    : client_cache(derby.db->cache().config().client_pages()),
+    : ctx(derby.db->cache().config().client_pages()),
       id_(id),
       spec_(spec),
       derby_(derby),

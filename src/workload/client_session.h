@@ -6,11 +6,9 @@
 #include <vector>
 
 #include "src/benchdb/derby.h"
-#include "src/cache/lru_page_cache.h"
+#include "src/catalog/database.h"
 #include "src/common/random.h"
-#include "src/cost/sim_context.h"
-#include "src/objects/object_store.h"
-#include "src/workload/latency_histogram.h"
+#include "src/telemetry/histogram.h"
 #include "src/workload/workload_spec.h"
 
 namespace treebench {
@@ -24,13 +22,12 @@ struct GeneratedQuery {
   bool is_update = false;
 };
 
-/// One closed-loop client of a multi-client workload: its own virtual clock
-/// and Metrics (a SimClock the scheduler binds on the shared SimContext),
-/// its own client-level page cache and handle space (bound on the shared
-/// TwoLevelCache/ObjectStore), its own deterministic RNG streams, and its
-/// measured-phase accumulators. The server level of the cache, the disk,
-/// the catalog and the indexes stay shared — that is the client/server
-/// story the workload exists to measure.
+/// One closed-loop client of a multi-client workload: its own ExecContext
+/// (virtual clock and Metrics, client-level page cache, handle space), its
+/// own deterministic RNG streams, and its measured-phase accumulators. The
+/// server level of the cache, the disk, the catalog and the indexes stay
+/// shared — that is the client/server story the workload exists to
+/// measure.
 class ClientSession {
  public:
   ClientSession(uint32_t id, const WorkloadSpec& spec, const DerbyDb& derby);
@@ -49,12 +46,10 @@ class ClientSession {
   /// The client's virtual time (ns). All clients share the t=0 origin, so
   /// these values are directly comparable — and directly usable as global
   /// arrival timestamps by the ServerStation.
-  double now_ns() const { return clock.clock_ns; }
+  double now_ns() const { return ctx.clock.clock_ns; }
 
-  // Bound by the scheduler around this session's turns.
-  SimClock clock;
-  LruPageCache client_cache;
-  HandleTable handles;
+  /// Bound by the scheduler (Database::Bind) around this session's turns.
+  ExecContext ctx;
 
   // Measured-phase bookkeeping (owned by the scheduler).
   uint32_t queries_issued = 0;    // warmup + measured, issue count
@@ -67,7 +62,7 @@ class ClientSession {
   /// only — preparation, cold restarts and think time between queries are
   /// excluded, exactly like the single-client path excludes them.
   Metrics measured_metrics;
-  LatencyHistogram latencies;
+  telemetry::Histogram latencies;
   std::vector<double> completion_seconds;
 
  private:

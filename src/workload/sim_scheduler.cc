@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -25,40 +26,15 @@ namespace treebench {
 
 namespace {
 
-/// Binds one session's clock, client cache and handle table onto the shared
-/// engine for the duration of a scope; restores the previous bindings on
-/// every exit path. Engine code keeps charging through the same
-/// SimContext/TwoLevelCache/ObjectStore pointers it always held — only the
-/// state behind them changes.
-class SessionBinding {
- public:
-  SessionBinding(Database* db, ClientSession* s)
-      : SessionBinding(db, &s->clock, &s->client_cache, &s->handles) {}
-
-  /// Raw-triple form for non-session clients of the engine — the background
-  /// Reorganizer owns the same (clock, cache, handles) triple.
-  SessionBinding(Database* db, SimClock* clock, LruPageCache* cache,
-                 HandleTable* handles)
-      : db_(db),
-        prev_clock_(db->sim().BindClock(clock)),
-        prev_cache_(db->cache().BindClientCache(cache)),
-        prev_ht_(db->store().BindHandleTable(handles)) {}
-
-  ~SessionBinding() {
-    db_->store().BindHandleTable(prev_ht_);
-    db_->cache().BindClientCache(prev_cache_);
-    db_->sim().BindClock(prev_clock_);
-  }
-
-  SessionBinding(const SessionBinding&) = delete;
-  SessionBinding& operator=(const SessionBinding&) = delete;
-
- private:
-  Database* db_;
-  SimClock* prev_clock_;
-  LruPageCache* prev_cache_;
-  HandleTable* prev_ht_;
-};
+/// The placement a spec with num_servers > 0 installs for its run.
+PlacementOptions SpecPlacement(const WorkloadSpec& spec) {
+  PlacementOptions po;
+  po.num_servers = spec.num_servers;
+  po.replication = spec.replication;
+  po.policy = spec.placement_policy;
+  po.range_block_pages = spec.range_block_pages;
+  return po;
+}
 
 Status ValidateSpec(const WorkloadSpec& spec) {
   if (spec.num_clients == 0) {
@@ -83,12 +59,7 @@ Status ValidateSpec(const WorkloadSpec& spec) {
         "workload: selection_pct must be in (0, 100]");
   }
   if (spec.num_servers > 0) {
-    PlacementOptions po;
-    po.num_servers = spec.num_servers;
-    po.replication = spec.replication;
-    po.policy = spec.placement_policy;
-    po.range_block_pages = spec.range_block_pages;
-    TB_RETURN_IF_ERROR(PlacementMap::Validate(po));
+    TB_RETURN_IF_ERROR(PlacementMap::Validate(SpecPlacement(spec)));
   } else if (spec.replication) {
     return Status::InvalidArgument(
         "workload: replication requires num_servers >= 2 in the spec "
@@ -149,7 +120,7 @@ void InstallProbes(WorkloadTelemetry* t, Database* db,
   t->series.set_interval_ns(t->sample_interval_ns);
   auto sum_counter = [&sessions](uint64_t Metrics::* field) {
     uint64_t total = 0;
-    for (const auto& s : sessions) total += s->clock.metrics.*field;
+    for (const auto& s : sessions) total += s->ctx.clock.metrics.*field;
     return total;
   };
 
@@ -172,7 +143,7 @@ void InstallProbes(WorkloadTelemetry* t, Database* db,
 
   t->series.AddGauge("client_cache_pages", [&sessions] {
     uint64_t pages = 0;
-    for (const auto& s : sessions) pages += s->client_cache.size();
+    for (const auto& s : sessions) pages += s->ctx.client_cache.size();
     return static_cast<double>(pages);
   });
   t->series.AddGauge("server_cache_pages", [db] {
@@ -263,13 +234,13 @@ void InstallProbes(WorkloadTelemetry* t, Database* db,
       return static_cast<double>(sum_counter(&Metrics::heat_samples));
     });
     t->series.AddGauge("pages_migrated", [reorg] {
-      return static_cast<double>(reorg->clock.metrics.pages_migrated);
+      return static_cast<double>(reorg->ctx.clock.metrics.pages_migrated);
     });
     t->series.AddGauge("objects_migrated", [reorg] {
-      return static_cast<double>(reorg->clock.metrics.objects_migrated);
+      return static_cast<double>(reorg->ctx.clock.metrics.objects_migrated);
     });
     t->series.AddGauge("migration_aborts", [reorg] {
-      return static_cast<double>(reorg->clock.metrics.migration_aborts);
+      return static_cast<double>(reorg->ctx.clock.metrics.migration_aborts);
     });
     // Per-shard clustering quality under a sharded placement: one Perfetto
     // counter track per shard, attributed by the parent page's primary.
@@ -283,20 +254,20 @@ void InstallProbes(WorkloadTelemetry* t, Database* db,
   }
   t->series.AddGauge("resident_handles", [&sessions] {
     uint64_t n = 0;
-    for (const auto& s : sessions) n += s->handles.handles.size();
+    for (const auto& s : sessions) n += s->ctx.handles.handles.size();
     return static_cast<double>(n);
   });
   t->series.AddGauge("transient_hwm_bytes", [&sessions] {
     uint64_t hwm = 0;
     for (const auto& s : sessions) {
-      hwm = std::max(hwm, s->clock.transient_hwm_bytes);
+      hwm = std::max(hwm, s->ctx.clock.transient_hwm_bytes);
     }
     return static_cast<double>(hwm);
   });
   t->series.AddGauge("handle_hwm_bytes", [&sessions] {
     uint64_t hwm = 0;
     for (const auto& s : sessions) {
-      hwm = std::max(hwm, s->clock.handle_hwm_bytes);
+      hwm = std::max(hwm, s->ctx.clock.handle_hwm_bytes);
     }
     return static_cast<double>(hwm);
   });
@@ -401,29 +372,28 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
       // cache / handle table, contends on the shared stations like any
       // client, and re-arms only while foreground work remains (the run
       // ends at the last client completion, as it always did).
-      reorg->clock.clock_ns = std::max(reorg->clock.clock_ns, when);
-      const double t0 = reorg->clock.clock_ns;
+      reorg->ctx.clock.clock_ns = std::max(reorg->ctx.clock.clock_ns, when);
+      const double t0 = reorg->ctx.clock.clock_ns;
       {
-        SessionBinding binding(db, &reorg->clock, &reorg->client_cache,
-                               &reorg->handles);
+        ExecScope bound = db->Bind(&reorg->ctx);
         TB_RETURN_IF_ERROR(reorg->RunRound());
       }
       if (hooks->t != nullptr) {
         hooks->t->query_slices.push_back(
             {/*track=*/hooks->t->num_clients + 1 + hooks->t->num_shards,
-             "recluster", t0, reorg->clock.clock_ns - t0});
+             "recluster", t0, reorg->ctx.clock.clock_ns - t0});
       }
       if (hooks->qlog != nullptr) {
-        hooks->qlog->AddReorgRound(t0, reorg->clock.clock_ns);
+        hooks->qlog->AddReorgRound(t0, reorg->ctx.clock.clock_ns);
       }
       if (any_client_live()) {
-        heap.emplace(reorg->clock.clock_ns + reorg_interval_ns, reorg_id);
+        heap.emplace(reorg->ctx.clock.clock_ns + reorg_interval_ns, reorg_id);
       }
       continue;
     }
 
     ClientSession* s = sessions[id].get();
-    SessionBinding binding(db, s);
+    ExecScope bound = db->Bind(&s->ctx);
 
     GeneratedQuery gq = s->NextQuery();
     // Shards-touched attribution for the flight recorder: per-shard
@@ -437,8 +407,8 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
       }
     };
     snapshot_admitted();
-    const double prep_start_ns = s->clock.clock_ns;
-    const Metrics prep_start_metrics = s->clock.metrics;
+    const double prep_start_ns = s->ctx.clock.clock_ns;
+    const Metrics prep_start_metrics = s->ctx.clock.metrics;
     auto prepared = Prepare(db, spec, gq);
     if (!prepared.ok() && !db->sim().faults().armed()) {
       // Not a fault campaign: a preparation failure is a spec/engine bug.
@@ -457,7 +427,7 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
       // session's fractional swap debt so each query starts from the same
       // memory-model state.
       TB_RETURN_IF_ERROR(db->ColdRestart());
-      s->clock.swap_debt = 0;
+      s->ctx.clock.swap_debt = 0;
     }
 
     // Measure from here: restart/flush and preparation above are setup
@@ -465,8 +435,8 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     // RunBoundPlan execution. A query whose PREPARATION died on an injected
     // fault instead takes the prepare work as its failed interval: the
     // charges happened, the result never arrived.
-    const double t0 = prep_ok ? s->clock.clock_ns : prep_start_ns;
-    const Metrics m0 = prep_ok ? s->clock.metrics : prep_start_metrics;
+    const double t0 = prep_ok ? s->ctx.clock.clock_ns : prep_start_ns;
+    const Metrics m0 = prep_ok ? s->ctx.clock.metrics : prep_start_metrics;
     if (prep_ok) snapshot_admitted();
     bool ok = false;
     if (prep_ok && prep.is_dml) {
@@ -476,7 +446,7 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     } else if (prep_ok) {
       ok = RunBoundPlan(db, prep.bound, prep.plan, /*cold=*/false).ok();
     }
-    const double t1 = s->clock.clock_ns;
+    const double t1 = s->ctx.clock.clock_ns;
     const bool measured = s->queries_issued >= spec.warmup_queries_per_client;
 
     // Assemble the flight-recorder record first: its delta also feeds the
@@ -501,7 +471,7 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
       qrec.aborted = prep_ok && prep.is_dml && !ok;
       qrec.start_ns = t0;
       qrec.end_ns = t1;
-      qrec.delta = s->clock.metrics.Diff(m0);
+      qrec.delta = s->ctx.clock.metrics.Diff(m0);
       qrec.deadlock_victim = qrec.aborted && qrec.delta.deadlocks > 0;
       if (hooks->stations != nullptr) {
         for (uint32_t sh = 0; sh < hooks->stations->size(); ++sh) {
@@ -544,7 +514,7 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
       }
       // Failed (fault-injected) queries keep their partial charges: the
       // work happened, only the result never arrived.
-      s->measured_metrics += s->clock.metrics.Diff(m0);
+      s->measured_metrics += s->ctx.clock.metrics.Diff(m0);
       if (ok) {
         s->latencies.Record(t1 - t0);
         ++s->measured_queries;
@@ -557,8 +527,8 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     ++s->queries_issued;
 
     if (s->queries_issued < total_per_client) {
-      s->clock.clock_ns += s->NextThinkNs();
-      heap.emplace(s->clock.clock_ns, s->id());
+      s->ctx.clock.clock_ns += s->NextThinkNs();
+      heap.emplace(s->ctx.clock.clock_ns, s->id());
     }
   }
   return Status::OK();
@@ -574,7 +544,7 @@ WorkloadReport AssembleReport(
 
   if (reorg != nullptr && heat != nullptr) {
     rep.has_recluster = true;
-    rep.recluster = reorg->clock.metrics;
+    rep.recluster = reorg->ctx.clock.metrics;
     rep.recluster_rounds = reorg->rounds();
     rep.clustering_quality = heat->MeanSpan();
   }
@@ -646,6 +616,135 @@ WorkloadReport AssembleReport(
   return rep;
 }
 
+/// What RunWorkload installs on the shared engine for one run: the spec's
+/// placement, the crash schedule, the vectored-fetch batch size, one service
+/// station per shard, the transaction lock hook and the heat tracker's
+/// access observer. Close() undoes them in reverse order and returns the
+/// placement restore's status; the destructor closes a scope that an early
+/// return left open.
+class RunScope {
+ public:
+  explicit RunScope(Database* db)
+      : db_(db),
+        prev_placement_(db->placement().options()),
+        prev_batch_(db->sim().model().max_fetch_batch_pages),
+        prev_stations_(db->sim().stations()) {}
+  ~RunScope() { (void)Close(); }
+
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+  /// Installs the run's placement (docs/replication_model.md), empties
+  /// the caches when the spec starts cold, then installs the rest.
+  /// num_servers == 0 inherits the database's current shard configuration
+  /// untouched — zero reconfiguration charges — which is what keeps
+  /// default-spec runs bit-identical to the classic engine.
+  Status Open(const WorkloadSpec& spec) {
+    if (spec.num_servers > 0) {
+      TB_RETURN_IF_ERROR(db_->ConfigureShards(SpecPlacement(spec)));
+      reconfigured_ = true;
+    }
+    for (const ServerCrashSpec& c : spec.crashes) {
+      if (c.shard >= db_->cache().NumShards()) {
+        TB_RETURN_IF_ERROR(Close());
+        return Status::InvalidArgument(
+            "workload: crash shard out of range for the run's placement");
+      }
+    }
+    // Every client starts cold: both shared cache levels (and the engine's
+    // own default bindings) are emptied before the first event. The
+    // sessions' own caches/handle tables are born empty.
+    if (spec.cold_start || spec.cold_per_query) {
+      TB_RETURN_IF_ERROR(db_->ColdRestart());
+    }
+
+    SimContext& sim = db_->sim();
+    // Arm the crash schedule AFTER the cold restart: scheduled crashes
+    // trigger against the observing client's clock, and the restart's
+    // flush runs on the database's own (much further advanced) clock —
+    // arming earlier would let it consume the schedule prematurely.
+    armed_here_ = !spec.crashes.empty() && !sim.faults().armed();
+    if (armed_here_) sim.faults().Arm(spec.seed ^ 0x5ca1ab1ec0ffeeull);
+    for (const ServerCrashSpec& c : spec.crashes) {
+      ScheduledFault f;
+      f.site = FaultSite::kServerCrash;
+      f.after_ns = c.at_ns;
+      f.target = c.shard;
+      f.count = 1;
+      sim.faults().Schedule(f);
+    }
+
+    sim.set_max_fetch_batch_pages(spec.max_fetch_batch_pages);
+
+    // The page-server fleet's service stations, one per shard. The default
+    // service time is below the minimum RPC round-trip spacing, so a single
+    // closed-loop client never queues behind itself — queueing delay
+    // appears only under real multi-client contention (and only per shard:
+    // shards queue independently).
+    stations_.emplace(db_->cache().NumShards(), sim.model().server_service_ns,
+                      sim.model().server_max_in_flight);
+    sim.set_stations(&*stations_);
+
+    // Transaction machinery exists for the run ONLY when something writes:
+    // an update mix, or the background reorganizer (whose migrations are
+    // journal-backed transactions). A read-only recluster-off spec binds no
+    // lock hook and allocates no manager, so the read-only engine runs the
+    // exact code path it always did.
+    if (spec.update_ratio > 0 || spec.recluster) {
+      txns_ = std::make_unique<TxnManager>(db_);
+      lock_hook_.emplace(&db_->cache(), txns_.get());
+    }
+
+    // Online adaptive reclustering (docs/clustering_model.md): the heat
+    // tracker hooks the object-access path. recluster=false binds NOTHING —
+    // the observer stays wherever the caller left it (normally null), which
+    // is the engine's bit-identity guarantee.
+    if (spec.recluster) {
+      heat_ = std::make_unique<HeatTracker>(&sim);
+      if (stations_->size() > 1) {
+        const PlacementMap* pm = &db_->placement();
+        heat_->SetShardResolver(stations_->size(), [pm](uint64_t page_key) {
+          return pm->PrimaryShard(page_key);
+        });
+      }
+      observer_.emplace(&db_->store(), heat_.get());
+    }
+    return Status::OK();
+  }
+
+  /// Reverse-order teardown. Callers read the fault ledger first: the
+  /// placement restore's flush must not pollute the run's shard counters.
+  Status Close() {
+    if (closed_) return Status::OK();
+    closed_ = true;
+    observer_.reset();
+    lock_hook_.reset();
+    if (stations_) db_->sim().set_stations(prev_stations_);
+    db_->sim().set_max_fetch_batch_pages(prev_batch_);
+    if (armed_here_) db_->sim().faults().Disarm();
+    return reconfigured_ ? db_->ConfigureShards(prev_placement_)
+                         : Status::OK();
+  }
+
+  StationRegistry& stations() { return *stations_; }
+  TxnManager* txns() { return txns_.get(); }
+  HeatTracker* heat() { return heat_.get(); }
+
+ private:
+  Database* db_;
+  const PlacementOptions prev_placement_;
+  const uint32_t prev_batch_;
+  StationRegistry* const prev_stations_;
+  bool reconfigured_ = false;
+  bool armed_here_ = false;
+  bool closed_ = false;
+  std::optional<StationRegistry> stations_;
+  std::unique_ptr<TxnManager> txns_;
+  std::optional<TwoLevelCache::LockHookScope> lock_hook_;
+  std::unique_ptr<HeatTracker> heat_;
+  std::optional<ObjectStore::ObserverScope> observer_;
+};
+
 }  // namespace
 
 std::string WorkloadTelemetry::ChromeTraceJson() const {
@@ -708,105 +807,16 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
     sessions.push_back(std::make_unique<ClientSession>(i, spec, *derby));
   }
 
-  // Install the run's placement (docs/replication_model.md). num_servers ==
-  // 0 inherits the database's current shard configuration untouched — zero
-  // reconfiguration charges — which is what keeps default-spec runs
-  // bit-identical to the classic engine. An explicit placement is restored
-  // on every exit path below.
-  const PlacementOptions prev_placement = db->placement().options();
-  const bool reconfigured = spec.num_servers > 0;
-  if (reconfigured) {
-    PlacementOptions po;
-    po.num_servers = spec.num_servers;
-    po.replication = spec.replication;
-    po.policy = spec.placement_policy;
-    po.range_block_pages = spec.range_block_pages;
-    TB_RETURN_IF_ERROR(db->ConfigureShards(po));
-  }
-  auto restore_placement = [&]() -> Status {
-    return reconfigured ? db->ConfigureShards(prev_placement) : Status::OK();
-  };
-  for (const ServerCrashSpec& c : spec.crashes) {
-    if (c.shard >= db->cache().NumShards()) {
-      TB_RETURN_IF_ERROR(restore_placement());
-      return Status::InvalidArgument(
-          "workload: crash shard out of range for the run's placement");
-    }
-  }
+  RunScope scope(db);
+  TB_RETURN_IF_ERROR(scope.Open(spec));
+  StationRegistry& stations = scope.stations();
+  HeatTracker* heat = scope.heat();
 
-  // Every client starts cold: both shared cache levels (and the engine's
-  // own default bindings) are emptied before the first event. The sessions'
-  // own caches/handle tables are born empty.
-  if (spec.cold_start || spec.cold_per_query) {
-    Status st = db->ColdRestart();
-    if (!st.ok()) {
-      (void)restore_placement();
-      return st;
-    }
-  }
-
-  // Arm the crash schedule AFTER the cold restart: scheduled crashes
-  // trigger against the observing client's clock, and the restart's flush
-  // runs on the database's own (much further advanced) clock — arming
-  // earlier would let it consume the schedule prematurely.
-  const bool armed_here =
-      !spec.crashes.empty() && !db->sim().faults().armed();
-  if (armed_here) db->sim().faults().Arm(spec.seed ^ 0x5ca1ab1ec0ffeeull);
-  for (const ServerCrashSpec& c : spec.crashes) {
-    ScheduledFault f;
-    f.site = FaultSite::kServerCrash;
-    f.after_ns = c.at_ns;
-    f.target = c.shard;
-    f.count = 1;
-    db->sim().faults().Schedule(f);
-  }
-
-  // Install the run's vectored-fetch batch size; restored on every exit
-  // path below so benches sweeping the knob do not leak it across runs.
-  const uint32_t prev_batch = db->sim().model().max_fetch_batch_pages;
-  db->sim().set_max_fetch_batch_pages(spec.max_fetch_batch_pages);
-
-  // Install the page-server fleet's service stations — one per shard — for
-  // the duration of the run. The default service time is below the minimum
-  // RPC round-trip spacing, so a single closed-loop client never queues
-  // behind itself — queueing delay appears only under real multi-client
-  // contention (and only per shard: shards queue independently).
-  StationRegistry stations(db->cache().NumShards(),
-                           db->sim().model().server_service_ns,
-                           db->sim().model().server_max_in_flight);
-  StationRegistry* prev_stations = db->sim().stations();
-  db->sim().set_stations(&stations);
-
-  // Transaction machinery exists for the run ONLY when something writes:
-  // an update mix, or the background reorganizer (whose migrations are
-  // journal-backed transactions). A read-only recluster-off spec binds no
-  // lock hook and allocates no manager, so the read-only engine runs the
-  // exact code path it always did.
-  std::unique_ptr<TxnManager> txns;
-  if (spec.update_ratio > 0 || spec.recluster) {
-    txns = std::make_unique<TxnManager>(db);
-    txns->Install();
-  }
-
-  // Online adaptive reclustering (docs/clustering_model.md): the heat
-  // tracker hooks the object-access path, the reorganizer becomes one more
-  // event source in the loop. recluster=false binds NOTHING — the observer
-  // pointer stays wherever the caller left it (normally null), which is the
-  // engine's bit-identity guarantee.
-  std::unique_ptr<HeatTracker> heat;
+  // The reorganizer becomes one more event source in the loop.
   std::unique_ptr<Reorganizer> reorg;
-  ObjectAccessObserver* prev_observer = nullptr;
   double reorg_interval_ns = 0;
   if (spec.recluster) {
-    heat = std::make_unique<HeatTracker>(&db->sim());
-    if (stations.size() > 1) {
-      const PlacementMap* pm = &db->placement();
-      heat->SetShardResolver(stations.size(), [pm](uint64_t page_key) {
-        return pm->PrimaryShard(page_key);
-      });
-    }
-    prev_observer = db->store().BindAccessObserver(heat.get());
-    reorg = std::make_unique<Reorganizer>(db, txns.get(), heat.get(),
+    reorg = std::make_unique<Reorganizer>(db, scope.txns(), heat,
                                           /*client_id=*/spec.num_clients);
     reorg->set_page_budget(spec.recluster_page_budget);
     reorg->set_thresholds(spec.recluster_min_heat, spec.recluster_min_span);
@@ -837,15 +847,12 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
     for (uint32_t i = 0; i < stations.size(); ++i) {
       stations.Station(i).set_service_log(&telemetry->server_service[i]);
     }
-    InstallProbes(telemetry, db, spec, sessions, stations, heat.get(),
+    InstallProbes(telemetry, db, spec, sessions, stations, heat,
                   reorg.get());
   }
 
-  Status loop_status = RunEventLoop(db, spec, sessions, txns.get(),
+  Status loop_status = RunEventLoop(db, spec, sessions, scope.txns(),
                                     reorg.get(), reorg_interval_ns, &hooks);
-
-  if (spec.recluster) db->store().BindAccessObserver(prev_observer);
-  if (txns != nullptr) txns->Uninstall();
 
   if (telemetry != nullptr) {
     // Final sample at the last completion, then detach the probes — they
@@ -857,11 +864,10 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
     }
   }
 
-  // The report reads the fault ledger before the injector is disarmed or
-  // the placement restored (the restore's flush must not pollute the run's
-  // shard counters).
+  // The report reads the fault ledger before the scope disarms the
+  // injector or restores the placement.
   WorkloadReport report =
-      AssembleReport(spec, sessions, stations, db, heat.get(), reorg.get());
+      AssembleReport(spec, sessions, stations, db, heat, reorg.get());
 
   if (qlog != nullptr) {
     qlog->Finalize();
@@ -881,18 +887,14 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
   // Session caches are simply destroyed (their unflushed pages vanish, like
   // a client process exiting) — they were never registered against RAM.
   for (const auto& s : sessions) {
-    SessionBinding binding(db, s.get());
+    ExecScope bound = db->Bind(&s->ctx);
     db->store().DropAllHandles();
   }
   if (reorg != nullptr) {
-    SessionBinding binding(db, &reorg->clock, &reorg->client_cache,
-                           &reorg->handles);
+    ExecScope bound = db->Bind(&reorg->ctx);
     db->store().DropAllHandles();
   }
-  db->sim().set_stations(prev_stations);
-  db->sim().set_max_fetch_batch_pages(prev_batch);
-  if (armed_here) db->sim().faults().Disarm();
-  Status restore_status = restore_placement();
+  Status restore_status = scope.Close();
   TB_RETURN_IF_ERROR(loop_status);
   TB_RETURN_IF_ERROR(restore_status);
 

@@ -84,7 +84,7 @@ struct WorkloadTelemetry {
 /// With num_clients == 1 the run is equivalent to the plain single-client
 /// query path: the station never delays the only client (the default
 /// CostModel keeps server_service_ns below the minimum RPC spacing), and
-/// the per-session bindings default-construct to the same state
+/// the session's ExecContext default-constructs to the same state
 /// Database::BeginMeasuredRun produces. The workload tests assert this
 /// bit-for-bit on the Metrics counters.
 ///

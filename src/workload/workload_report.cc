@@ -41,7 +41,7 @@ void AppendMetrics(std::string* out, const std::string& pad,
 }
 
 void AppendLatencies(std::string* out, const std::string& pad,
-                     const LatencyHistogram& h, bool comma) {
+                     const telemetry::Histogram& h, bool comma) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\"latency_seconds\": {\"p50\": %.9g, \"p95\": %.9g, "

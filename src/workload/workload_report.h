@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "src/cost/metrics.h"
+#include "src/telemetry/histogram.h"
 #include "src/telemetry/query_log.h"
 #include "src/telemetry/slo.h"
-#include "src/workload/latency_histogram.h"
 #include "src/workload/workload_spec.h"
 
 namespace treebench {
@@ -23,7 +23,7 @@ struct ClientReport {
   double start_seconds = 0;
   double end_seconds = 0;
   double qps = 0;
-  LatencyHistogram latencies;
+  telemetry::Histogram latencies;
   /// Per-query completion times (seconds, virtual), in issue order —
   /// monotonicity of a client's timeline is a tested invariant.
   std::vector<double> completion_seconds;
@@ -66,7 +66,14 @@ struct WorkloadReport {
   /// Global measured span: max client end - min client start, seconds.
   double span_seconds = 0;
   double throughput_qps = 0;
-  LatencyHistogram latencies;  // all clients' measured queries
+  /// All clients' measured queries. The shared telemetry histogram, not a
+  /// workload-local one: these percentiles and the sampler's running
+  /// percentile gauges (WorkloadTelemetry::running_latencies) use one
+  /// log-bucketing scheme (4 geometric sub-buckets per power of two), so
+  /// they can never disagree on bucket boundaries. tests/telemetry_test.cc
+  /// pins the bucketing bit-for-bit against a frozen reference
+  /// implementation.
+  telemetry::Histogram latencies;
 
   // Fairness spread of per-client throughput. ratio = min/max in [0, 1];
   // 1 = perfectly fair.

@@ -145,7 +145,7 @@ TEST_P(AlgorithmEquivalenceTest, AllAlgorithmsAgreeAfterCommittedUpdates) {
   const int64_t window =
       std::max<int64_t>(8, static_cast<int64_t>(derby->meta.num_patients) / 10);
   TxnManager txns(db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&db->cache(), &txns);
   char stmt[160];
   std::snprintf(stmt, sizeof(stmt),
                 "update Patients set mrn = 0 "
@@ -154,7 +154,6 @@ TEST_P(AlgorithmEquivalenceTest, AllAlgorithmsAgreeAfterCommittedUpdates) {
   Result<DmlStats> moved = ExecuteDml(db, &txns, stmt);
   ASSERT_TRUE(moved.ok()) << moved.status().ToString();
   ASSERT_GT(moved->affected, 0u);
-  txns.Uninstall();
 
   std::vector<TuplePair> after = RunSorted(db, spec, TreeJoinAlgo::kNL);
   EXPECT_GT(after.size(), before.size());

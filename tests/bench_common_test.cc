@@ -1,0 +1,112 @@
+// bench/common's shared command line and artifact writer: ParseArgs owns
+// every flag that more than one bench reads, so each flag behaves the same
+// on every bench.
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/bench_util.h"
+#include "gtest/gtest.h"
+
+namespace treebench::bench {
+namespace {
+
+/// Calls f(argc, argv) on a mutable argv {"bench", args...}.
+template <typename F>
+auto WithArgv(std::vector<std::string> args, F f) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return f(static_cast<int>(argv.size()), argv.data());
+}
+
+BenchOptions Parse(std::vector<std::string> args) {
+  return WithArgv(std::move(args), ParseArgs);
+}
+
+uint32_t Uint(std::vector<std::string> args, const char* prefix) {
+  return WithArgv(std::move(args), [prefix](int argc, char** argv) {
+    return UintFlag(argc, argv, prefix);
+  });
+}
+
+TEST(BenchArgsTest, DefaultsArePaperScaleWithNoArtifacts) {
+  BenchOptions o = Parse({});
+  EXPECT_EQ(o.scale, 1u);
+  EXPECT_FALSE(o.scale_given);
+  EXPECT_FALSE(o.smoke);
+  EXPECT_TRUE(o.summary_json.empty());
+  EXPECT_TRUE(o.json_path.empty());
+  EXPECT_TRUE(o.telemetry_dir.empty());
+  EXPECT_TRUE(o.query_log_dir.empty());
+}
+
+TEST(BenchArgsTest, ArtifactFlagsSetTheirPaths) {
+  BenchOptions o = Parse({"--summary-json=s.json", "--json=r.json",
+                          "--telemetry-dir=tel", "--query-log-dir=ql",
+                          "--stats-json=st.json", "--csv=c.csv"});
+  EXPECT_EQ(o.summary_json, "s.json");
+  EXPECT_EQ(o.json_path, "r.json");
+  EXPECT_EQ(o.telemetry_dir, "tel");
+  EXPECT_EQ(o.query_log_dir, "ql");
+  EXPECT_EQ(o.stats_json_path, "st.json");
+  EXPECT_EQ(o.csv_path, "c.csv");
+}
+
+// Exactly "--scale=0" is smoke mode; every value below 1, including garbage,
+// clamps to 1; any --scale= flag counts as given.
+TEST(BenchArgsTest, ScaleSmokeModeAndClamping) {
+  struct Case {
+    const char* arg;
+    uint32_t scale;
+    bool smoke;
+  };
+  const Case cases[] = {
+      {"--scale=0", 1, true},    {"--scale=00", 1, false},
+      {"--scale=1", 1, false},   {"--scale=8", 8, false},
+      {"--scale=abc", 1, false}, {"--scale=-3", 1, false},
+      {"--scale=", 1, false},
+  };
+  for (const Case& c : cases) {
+    BenchOptions o = Parse({c.arg});
+    EXPECT_EQ(o.scale, c.scale) << c.arg;
+    EXPECT_EQ(o.smoke, c.smoke) << c.arg;
+    EXPECT_TRUE(o.scale_given) << c.arg;
+  }
+}
+
+TEST(BenchArgsTest, UnknownFlagsAreIgnored) {
+  BenchOptions o = Parse({"--clients=4", "--bogus", "positional",
+                          "--benchmark_filter=BM_Crc32", "--scale=2"});
+  EXPECT_EQ(o.scale, 2u);
+  EXPECT_TRUE(o.summary_json.empty());
+  EXPECT_TRUE(o.json_path.empty());
+}
+
+TEST(BenchArgsTest, UintFlagReadsTheLastOccurrence) {
+  const std::vector<std::string> args = {"--clients=4", "--queries=3",
+                                         "--clients=9", "--servers=x"};
+  EXPECT_EQ(Uint(args, "--clients="), 9u);
+  EXPECT_EQ(Uint(args, "--queries="), 3u);
+  EXPECT_EQ(Uint(args, "--servers="), 0u);
+  EXPECT_EQ(Uint(args, "--jobs="), 0u);
+}
+
+TEST(WriteTextFileTest, WritesContentAndReportsFailure) {
+  const std::string path = testing::TempDir() + "bench_common_test.txt";
+  ASSERT_TRUE(WriteTextFile(path, "{\"k\": 1}\n"));
+  std::ifstream in(path);
+  std::stringstream got;
+  got << in.rdbuf();
+  EXPECT_EQ(got.str(), "{\"k\": 1}\n");
+  std::remove(path.c_str());
+  EXPECT_FALSE(WriteTextFile(testing::TempDir() + "no/such/dir/x.json", ""));
+  // Opens fine, fails when the buffered bytes are flushed at close.
+  EXPECT_FALSE(WriteTextFile("/dev/full", "{}\n"));
+}
+
+}  // namespace
+}  // namespace treebench::bench

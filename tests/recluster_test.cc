@@ -93,28 +93,6 @@ std::vector<std::pair<int64_t, int64_t>> LogicalPairs(DerbyDb* derby,
   return out;
 }
 
-/// Scoped manual equivalent of the scheduler's SessionBinding for driving a
-/// Reorganizer directly in tests.
-class ReorgBinding {
- public:
-  ReorgBinding(Database* db, Reorganizer* r)
-      : db_(db),
-        prev_clock_(db->sim().BindClock(&r->clock)),
-        prev_cache_(db->cache().BindClientCache(&r->client_cache)),
-        prev_ht_(db->store().BindHandleTable(&r->handles)) {}
-  ~ReorgBinding() {
-    db_->store().BindHandleTable(prev_ht_);
-    db_->cache().BindClientCache(prev_cache_);
-    db_->sim().BindClock(prev_clock_);
-  }
-
- private:
-  Database* db_;
-  SimClock* prev_clock_;
-  LruPageCache* prev_cache_;
-  HandleTable* prev_ht_;
-};
-
 WorkloadSpec TreeHeavySpec(uint32_t queries) {
   WorkloadSpec spec;
   spec.num_clients = 1;
@@ -327,12 +305,13 @@ TEST(ReclusterTest, CrashMidMigrationRollsBackBitForBit) {
   ASSERT_GT(baseline.size(), 0u);
 
   TxnManager txns(db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&db->cache(), &txns);
   HeatTracker heat(&db->sim());
-  ObjectAccessObserver* prev = db->store().BindAccessObserver(&heat);
-  ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
-  ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
-  db->store().BindAccessObserver(prev);
+  {
+    ObjectStore::ObserverScope observed(&db->store(), &heat);
+    ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
+    ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
+  }
   ASSERT_GT(heat.tracked_parents(), 0u);
 
   // Coherent stored image before the doomed round.
@@ -344,12 +323,12 @@ TEST(ReclusterTest, CrashMidMigrationRollsBackBitForBit) {
   reorg.set_page_budget(256);
   reorg.set_fail_after_objects(1);  // every group dies on its first copy
   {
-    ReorgBinding binding(db, &reorg);
+    ExecScope bound = db->Bind(&reorg.ctx);
     ASSERT_TRUE(reorg.RunRound().ok());
   }
-  EXPECT_GT(reorg.clock.metrics.migration_aborts, 0u);
-  EXPECT_EQ(reorg.clock.metrics.pages_migrated, 0u);
-  EXPECT_EQ(reorg.clock.metrics.objects_migrated, 0u);
+  EXPECT_GT(reorg.ctx.clock.metrics.migration_aborts, 0u);
+  EXPECT_EQ(reorg.ctx.clock.metrics.pages_migrated, 0u);
+  EXPECT_EQ(reorg.ctx.clock.metrics.objects_migrated, 0u);
 
   // The abort was a PHYSICAL rollback: disk image identical, including the
   // file count (the aborted round's target file must not survive).
@@ -358,7 +337,6 @@ TEST(ReclusterTest, CrashMidMigrationRollsBackBitForBit) {
 
   // And the database still answers correctly afterwards.
   EXPECT_EQ(LogicalPairs(derby.get(), q, TreeJoinAlgo::kNL), baseline);
-  txns.Uninstall();
 }
 
 TEST(ReclusterTest, RoundAfterAbortedRoundStillMigrates) {
@@ -367,36 +345,37 @@ TEST(ReclusterTest, RoundAfterAbortedRoundStillMigrates) {
   TreeQuerySpec q = DerbyTreeQuery(*derby, 40, 30);
 
   TxnManager txns(db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&db->cache(), &txns);
   HeatTracker heat(&db->sim());
-  ObjectAccessObserver* prev = db->store().BindAccessObserver(&heat);
-  ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
-  ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
-  db->store().BindAccessObserver(prev);
+  {
+    ObjectStore::ObserverScope observed(&db->store(), &heat);
+    ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
+    ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
+  }
 
   Reorganizer reorg(db, &txns, &heat, /*client_id=*/99);
   reorg.set_thresholds(1.0, 1.5);
   reorg.set_page_budget(256);
   reorg.set_fail_after_objects(1);
   {
-    ReorgBinding binding(db, &reorg);
+    ExecScope bound = db->Bind(&reorg.ctx);
     ASSERT_TRUE(reorg.RunRound().ok());
   }
-  ASSERT_GT(reorg.clock.metrics.migration_aborts, 0u);
+  ASSERT_GT(reorg.ctx.clock.metrics.migration_aborts, 0u);
 
   // Fresh heat, fault cleared: the reorganizer must have recovered its
   // internal state (positions map, target file) well enough to migrate.
-  prev = db->store().BindAccessObserver(&heat);
-  ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
-  ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
-  db->store().BindAccessObserver(prev);
+  {
+    ObjectStore::ObserverScope observed(&db->store(), &heat);
+    ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
+    ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
+  }
   reorg.set_fail_after_objects(0);
   {
-    ReorgBinding binding(db, &reorg);
+    ExecScope bound = db->Bind(&reorg.ctx);
     ASSERT_TRUE(reorg.RunRound().ok());
   }
-  EXPECT_GT(reorg.clock.metrics.pages_migrated, 0u);
-  txns.Uninstall();
+  EXPECT_GT(reorg.ctx.clock.metrics.pages_migrated, 0u);
 }
 
 // ---- The hard recluster-off gate ----
@@ -416,10 +395,10 @@ TEST(ReclusterTest, DisabledTrackerKeepsReportAndDiskBitIdentical) {
   auto derby_b = SmallDerby(ClusteringStrategy::kRandomized);
   HeatTracker heat(&derby_b->db->sim());
   heat.set_enabled(false);
-  ObjectAccessObserver* prev =
-      derby_b->db->store().BindAccessObserver(&heat);
-  auto b = RunWorkload(derby_b.get(), spec);
-  derby_b->db->store().BindAccessObserver(prev);
+  Result<WorkloadReport> b = [&] {
+    ObjectStore::ObserverScope observed(&derby_b->db->store(), &heat);
+    return RunWorkload(derby_b.get(), spec);
+  }();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
   EXPECT_FALSE(a->has_recluster);

@@ -161,7 +161,7 @@ TEST_P(TxnDifferentialTest, InterleavedClientsMatchSerialOracle) {
       static_cast<int64_t>(txn_derby->meta.num_patients));
 
   TxnManager txns(txn_db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&txn_db->cache(), &txns);
 
   size_t updates_run = 0, reads_run = 0, divergences = 0;
   for (size_t i = 0; i < schedule.size(); ++i) {
@@ -184,7 +184,6 @@ TEST_P(TxnDifferentialTest, InterleavedClientsMatchSerialOracle) {
     EXPECT_EQ(got->affected, want->affected) << op.statement;
     ++updates_run;
   }
-  txns.Uninstall();
 
   // Final-state differential over the whole key domain.
   auto final_got = Snapshot(*txn_derby, 0,
@@ -249,7 +248,7 @@ TEST(TxnConflictTest, OpenTransactionBlocksAndRetrySucceeds) {
   Database* db = derby->db.get();
   const int64_t n = static_cast<int64_t>(derby->meta.num_patients);
   TxnManager txns(db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&db->cache(), &txns);
 
   Transaction* a = txns.Begin(0).value();
   ASSERT_TRUE(RunStmt(db, &txns, UpdateStmt(0, n / 4, 111)).ok());
@@ -273,7 +272,6 @@ TEST(TxnConflictTest, OpenTransactionBlocksAndRetrySucceeds) {
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_GT(retried->affected, 0u);
   ASSERT_TRUE(txns.Commit(b2).ok());
-  txns.Uninstall();
 
   auto snap = Snapshot(*derby, 0, n / 4);
   ASSERT_FALSE(snap.empty());
@@ -292,7 +290,7 @@ TEST(TxnConflictTest, WaitForCycleKillsTheRequesterAndRollsItBack) {
   ASSERT_FALSE(before_b.empty());
 
   TxnManager txns(db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&db->cache(), &txns);
   Transaction* a = txns.Begin(0).value();
   ASSERT_TRUE(RunStmt(db, &txns, UpdateStmt(lo_a, hi_a, 111)).ok());
   Transaction* b = txns.Begin(1).value();
@@ -321,7 +319,6 @@ TEST(TxnConflictTest, WaitForCycleKillsTheRequesterAndRollsItBack) {
   Result<DmlStats> a_retry = RunStmt(db, &txns, UpdateStmt(lo_b, hi_b, 333));
   ASSERT_TRUE(a_retry.ok()) << a_retry.status().ToString();
   ASSERT_TRUE(txns.Commit(a).ok());
-  txns.Uninstall();
 
   for (const auto& [mrn, ri] : Snapshot(*derby, lo_a, hi_a)) {
     EXPECT_EQ(ri, 111) << "mrn " << mrn;

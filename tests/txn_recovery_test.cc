@@ -98,7 +98,7 @@ TEST_P(TxnRecoveryTest, AbortRestoresTheDiskImageBitForBit) {
   const std::vector<std::string> before = DiskImage(db->disk());
 
   TxnManager txns(db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&db->cache(), &txns);
   Transaction* txn = txns.Begin().value();
   // A structural-plus-update mix: updates across two windows, one insert
   // (allocates pages and grows extent + indexes), one delete (swap-removes
@@ -119,20 +119,18 @@ TEST_P(TxnRecoveryTest, AbortRestoresTheDiskImageBitForBit) {
   EXPECT_GT(deleted->affected, 0u);
 
   ASSERT_TRUE(txns.Abort(txn).ok());
-  txns.Uninstall();
 
   ExpectSameImage(before, DiskImage(db->disk()));
 
   // The database stays fully usable on the restored image: a fresh
   // transaction can run and commit against it.
   TxnManager txns2(db);
-  txns2.Install();
+  TwoLevelCache::LockHookScope hooked2(&db->cache(), &txns2);
   Transaction* t2 = txns2.Begin().value();
   Result<DmlStats> again = RunStmt(db, &txns2, UpdateStmt(0, n / 4, 9));
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_GT(again->affected, 0u);
   ASSERT_TRUE(txns2.Commit(t2).ok());
-  txns2.Uninstall();
 }
 
 TEST_P(TxnRecoveryTest, MidStatementDiskFaultThenAbortRestoresTheImage) {
@@ -144,7 +142,7 @@ TEST_P(TxnRecoveryTest, MidStatementDiskFaultThenAbortRestoresTheImage) {
   const std::vector<std::string> before = DiskImage(db->disk());
 
   TxnManager txns(db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&db->cache(), &txns);
   Transaction* txn = txns.Begin().value();
 
   // The caches are cold, so the whole-domain update streams object pages
@@ -162,7 +160,6 @@ TEST_P(TxnRecoveryTest, MidStatementDiskFaultThenAbortRestoresTheImage) {
   EXPECT_TRUE(hit.status().IsUnavailable()) << hit.status().ToString();
 
   ASSERT_TRUE(txns.Abort(txn).ok());
-  txns.Uninstall();
 
   ExpectSameImage(before, DiskImage(db->disk()));
 }
@@ -189,7 +186,7 @@ TEST(TxnLogicalUndoTest, LogicalAbortRestoresValuesAndIndexEntries) {
   const int64_t lo = n / 2, hi = n / 2 + n / 8;
 
   TxnManager txns(db);
-  txns.Install();
+  TwoLevelCache::LockHookScope hooked(&db->cache(), &txns);
   // A claims the journal at Begin and stays open (it holds no locks, so B
   // runs conflict-free — lock interaction is txn_differential_test's job).
   Transaction* a = txns.Begin(0).value();
@@ -223,7 +220,6 @@ TEST(TxnLogicalUndoTest, LogicalAbortRestoresValuesAndIndexEntries) {
   ASSERT_TRUE(parked.ok());
   EXPECT_EQ(parked->matched, 0u);
   ASSERT_TRUE(txns.Commit(probe).ok());
-  txns.Uninstall();
 
   EXPECT_EQ(db->sim().metrics().txn_aborts, 1u);
   EXPECT_EQ(db->sim().metrics().txn_commits, 2u);

@@ -12,6 +12,7 @@
 #include "src/query/executor.h"
 #include "src/query/oql/parser.h"
 #include "src/query/optimizer.h"
+#include "src/recluster/heat_tracker.h"
 #include "src/txn/txn_manager.h"
 #include "src/workload/client_session.h"
 #include "src/workload/sim_scheduler.h"
@@ -304,9 +305,8 @@ TEST(WorkloadTest, RatioZeroIsBitIdenticalWithIdleTxnManagerInstalled) {
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   TxnManager idle(derby_b->db.get());
-  idle.Install();
+  TwoLevelCache::LockHookScope idle_hook(&derby_b->db->cache(), &idle);
   auto hooked = RunWorkload(derby_b.get(), spec);
-  idle.Uninstall();
   ASSERT_TRUE(hooked.ok()) << hooked.status().ToString();
 
   EXPECT_EQ(plain->ToJson(), hooked->ToJson());
@@ -353,6 +353,99 @@ TEST(WorkloadTest, UpdateMixRunsTransactionsDeterministically) {
   auto again = RunWorkload(derby_b.get(), spec);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(report->ToJson(), again->ToJson());
+}
+
+/// Every piece of engine state that RunWorkload or an ExecScope installs.
+struct EngineBindings {
+  SimClock* clock;
+  LruPageCache* client_cache;
+  HandleTable* handles;
+  PageLockHook* lock_hook;
+  ObjectAccessObserver* observer;
+  StationRegistry* stations;
+  uint32_t fetch_batch;
+  bool armed;
+  uint32_t shards;
+};
+
+EngineBindings Bindings(Database* db) {
+  return {db->sim().bound_clock(),      db->cache().bound_client_cache(),
+          db->store().bound_handle_table(), db->cache().lock_hook(),
+          db->store().access_observer(), db->sim().stations(),
+          db->sim().model().max_fetch_batch_pages,
+          db->sim().faults().armed(),   db->cache().NumShards()};
+}
+
+void ExpectBindings(const EngineBindings& want, const EngineBindings& got) {
+  EXPECT_EQ(got.clock, want.clock);
+  EXPECT_EQ(got.client_cache, want.client_cache);
+  EXPECT_EQ(got.handles, want.handles);
+  EXPECT_EQ(got.lock_hook, want.lock_hook);
+  EXPECT_EQ(got.observer, want.observer);
+  EXPECT_EQ(got.stations, want.stations);
+  EXPECT_EQ(got.fetch_batch, want.fetch_batch);
+  EXPECT_EQ(got.armed, want.armed);
+  EXPECT_EQ(got.shards, want.shards);
+}
+
+// RunWorkload must hand the engine back exactly as the caller left it —
+// not reset to defaults — after a full run, after a spec it rejects
+// half-way, and under nested ExecContext scopes.
+TEST(WorkloadTest, RunWorkloadRestoresTheCallersEngineState) {
+  auto derby = BuildSmallDerby();
+  Database* db = derby->db.get();
+  PlacementOptions three;
+  three.num_servers = 3;
+  ASSERT_TRUE(db->ConfigureShards(three).ok());
+  db->sim().set_max_fetch_batch_pages(16);
+  StationRegistry caller_stations(1, db->sim().model().server_service_ns,
+                                  db->sim().model().server_max_in_flight);
+  db->sim().set_stations(&caller_stations);
+  TxnManager caller_txns(db);
+  TwoLevelCache::LockHookScope caller_hook(&db->cache(), &caller_txns);
+  HeatTracker caller_heat(&db->sim());
+  ObjectStore::ObserverScope observed(&db->store(), &caller_heat);
+  ExecContext caller(db->cache().config().client_pages());
+  ExecScope bound = db->Bind(&caller);
+  const EngineBindings before = Bindings(db);
+  ASSERT_EQ(before.clock, &caller.clock);
+
+  // (a) A sharded, replicated run with updates, reclustering and a crash:
+  // every run-wide hook gets installed and swapped.
+  WorkloadSpec full = MixedSpec(3, 4);
+  full.num_servers = 2;
+  full.replication = true;
+  full.update_ratio = 0.25;
+  full.recluster = true;
+  full.recluster_interval_ns = 1e6;
+  full.crashes.push_back({/*shard=*/1, /*at_ns=*/1e6});
+  auto report = RunWorkload(derby.get(), full);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->has_recluster);
+  EXPECT_GT(report->totals.txn_commits, 0u);
+  ExpectBindings(before, Bindings(db));
+
+  // (b) Rejected after the placement was already reconfigured.
+  WorkloadSpec bad = MixedSpec(2, 1);
+  bad.num_servers = 2;
+  bad.crashes.push_back({/*shard=*/5, /*at_ns=*/1e6});
+  EXPECT_EQ(RunWorkload(derby.get(), bad).status().code(),
+            StatusCode::kInvalidArgument);
+  ExpectBindings(before, Bindings(db));
+
+  // (c) Nested scopes unwind in LIFO order, around a run too.
+  ExecContext inner(db->cache().config().client_pages());
+  {
+    ExecScope nested = db->Bind(&inner);
+    EngineBindings in_inner = before;
+    in_inner.clock = &inner.clock;
+    in_inner.client_cache = &inner.client_cache;
+    in_inner.handles = &inner.handles;
+    ExpectBindings(in_inner, Bindings(db));
+    ASSERT_TRUE(RunWorkload(derby.get(), MixedSpec(2, 2)).ok());
+    ExpectBindings(in_inner, Bindings(db));
+  }
+  ExpectBindings(before, Bindings(db));
 }
 
 TEST(WorkloadTest, RejectsInvalidSpecs) {
