@@ -21,16 +21,18 @@ int Main(int argc, char** argv) {
     cfg.clustering = ClusteringStrategy::kClassClustered;
     cfg.scale = opts.scale;
     cfg.db.cache.client_bytes = client_mb << 20;
-    auto derby = BuildDerby(cfg).value();
+    auto derby = OrDie(BuildDerby(cfg), "derby build");
 
     // NL at (90,10): the random-navigation workload whose fault rate the
     // client cache directly controls.
     TreeQuerySpec spec = DerbyTreeQuery(*derby, 90, 10);
-    auto nl = RunTreeQuery(derby->db.get(), spec, TreeJoinAlgo::kNL).value();
+    auto nl = OrDie(RunTreeQuery(derby->db.get(), spec, TreeJoinAlgo::kNL),
+                    "NL 90/10");
     // NOJOIN at (90,90): sequential + parent lookups.
     TreeQuerySpec spec2 = DerbyTreeQuery(*derby, 90, 90);
     auto nj =
-        RunTreeQuery(derby->db.get(), spec2, TreeJoinAlgo::kNOJOIN).value();
+        OrDie(RunTreeQuery(derby->db.get(), spec2, TreeJoinAlgo::kNOJOIN),
+              "NOJOIN 90/90");
 
     rows.push_back({std::to_string(client_mb) + " MB",
                     FormatSeconds(nl.seconds * opts.scale),

@@ -23,7 +23,7 @@ int Main(int argc, char** argv) {
   cfg.scale = opts.scale;
   cfg.index_timing = DerbyConfig::IndexTiming::kAfterLoadRelocate;
   std::printf("building relocated database (index-after-load)...\n");
-  auto derby = BuildDerby(cfg).value();
+  auto derby = OrDie(BuildDerby(cfg), "derby build");
   std::printf("relocations during indexing: %s\n",
               WithThousands(derby->db->sim().metrics().relocations).c_str());
 
@@ -35,7 +35,7 @@ int Main(int argc, char** argv) {
       char sel[32];
       std::snprintf(sel, sizeof(sel), "%.0f / %.0f", sel_pat, sel_prov);
       for (TreeJoinAlgo algo : {TreeJoinAlgo::kNOJOIN, TreeJoinAlgo::kPHJ}) {
-        auto run = RunTreeQuery(derby->db.get(), spec, algo).value();
+        auto run = OrDie(RunTreeQuery(derby->db.get(), spec, algo), label);
         rows->push_back({label, sel, std::string(AlgoName(algo)),
                          FormatSeconds(run.seconds * opts.scale),
                          WithThousands(run.metrics.disk_reads),
@@ -50,10 +50,7 @@ int Main(int argc, char** argv) {
   std::printf("dump-and-reload (class placement)...\n");
   derby->db->sim().ResetClock();
   Status s = derby->db->DumpAndReload(ClusteringStrategy::kClassClustered);
-  if (!s.ok()) {
-    std::fprintf(stderr, "FATAL: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  if (!s.ok()) Die("dump-and-reload", s);
   double reload_seconds = derby->db->sim().elapsed_seconds() * opts.scale;
   run_grid("after dump+reload", &rows);
 

@@ -20,11 +20,11 @@ int Main(int argc, char** argv) {
   for (auto [sel_pat, sel_prov] :
        {std::pair{10.0, 10.0}, std::pair{10.0, 90.0}, std::pair{90.0, 90.0}}) {
     TreeQuerySpec spec = DerbyTreeQuery(*derby, sel_pat, sel_prov);
-    auto phj = RunTreeQuery(derby->db.get(), spec, TreeJoinAlgo::kPHJ)
-                   .value();
+    auto phj =
+        OrDie(RunTreeQuery(derby->db.get(), spec, TreeJoinAlgo::kPHJ), "PHJ");
     auto hphj =
-        RunTreeQuery(derby->db.get(), spec, TreeJoinAlgo::kHybridPHJ)
-            .value();
+        OrDie(RunTreeQuery(derby->db.get(), spec, TreeJoinAlgo::kHybridPHJ),
+              "HPHJ");
     if (phj.result_count != hphj.result_count) {
       std::fprintf(stderr, "FATAL: result mismatch\n");
       return 1;

@@ -61,7 +61,7 @@ int Main(int argc, char** argv) {
       ClusteringStrategy::kRandomized};
   const std::vector<uint32_t> batches = {1, 4, 16, 64};
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   std::vector<std::vector<BatchOut>> outs(clusterings.size());
   for (auto& per_cluster : outs) per_cluster.resize(batches.size());
 

@@ -29,7 +29,6 @@
 // export works and run_benches.sh consolidates this bench into
 // bench_json/BENCH_results.json like every other sweep.
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,10 +121,10 @@ int LoaderCampaign(const BenchOptions& opts, LoaderOut* out) {
     return dbo;
   };
   auto setup = [](Database* db, uint16_t* cls, uint16_t* file) {
-    *cls = db->CreateClass("Item", {{"k", AttrType::kInt32},
-                                    {"pad", AttrType::kString}})
-               .value();
-    db->CreateCollection("Items").value();
+    *cls = OrDie(db->CreateClass("Item", {{"k", AttrType::kInt32},
+                                          {"pad", AttrType::kString}}),
+                 "loader campaign");
+    OrDie(db->CreateCollection("Items"), "loader campaign");
     *file = db->CreateFile("items");
   };
   auto item = [](int i) {
@@ -136,11 +135,7 @@ int LoaderCampaign(const BenchOptions& opts, LoaderOut* out) {
   lopts.commit_every = kCommitEvery;
   lopts.checkpoint_recovery = true;
   auto check = [](const Status& s) {
-    if (!s.ok()) {
-      // Thrown (not abort()): the cell runner propagates the error to the
-      // main thread after draining the pool.
-      throw std::runtime_error("loader campaign failed: " + s.ToString());
-    }
+    if (!s.ok()) Die("loader campaign", s);
   };
 
   // Uninterrupted load.
@@ -154,7 +149,8 @@ int LoaderCampaign(const BenchOptions& opts, LoaderOut* out) {
     CreateOptions co;
     co.file_id = cfile;
     for (int i = 0; i < kObjects; ++i) {
-      loader.CreateObject(ccls, item(i), co, "Items").value();
+      OrDie(loader.CreateObject(ccls, item(i), co, "Items"),
+            "loader campaign");
     }
     check(loader.Commit());
   }
@@ -265,18 +261,10 @@ int RunSloCell(const BenchOptions& opts, bool with_crash, const char* what,
 bool SloMerge(const SloOut& a, const SloOut& b, const SloOut& clean,
               StatStore* stats, telemetry::FlatRun* summary) {
   const WorkloadReport& run_a = a.report;
-  bool ok = true;
 
   // Gate 1: bit-stable alerting — two independent same-seed runs must
   // produce byte-identical reports (alert timestamps included).
-  const bool identical = run_a.ToJson() == b.report.ToJson();
-  std::printf("slo determinism gate: %s\n", identical ? "PASS" : "FAIL");
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FATAL: same-seed slo campaign runs diverged — alert "
-                 "timestamps are not bit-stable\n");
-    ok = false;
-  }
+  bool ok = SameReport("slo determinism gate", run_a, b.report);
 
   // Gate 2: the availability alert fires during the outage and clears
   // after the crashed server rejoins.
@@ -391,7 +379,7 @@ int Main(int argc, char** argv) {
       {"rpc_5", "rpc 5%", 0.05, 0.0},
   };
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   std::vector<CampaignRow> results(campaigns.size());
   LoaderOut loader_out;
   SloOut slo_a, slo_b, slo_clean;
@@ -404,13 +392,8 @@ int Main(int argc, char** argv) {
       cfg.avg_children = 1000;
       cfg.clustering = ClusteringStrategy::kClassClustered;
       cfg.scale = opts.scale;
-      auto derby = BuildDerby(cfg);
-      if (!derby.ok()) {
-        std::fprintf(stderr, "FATAL: derby build (%s): %s\n",
-                     in.label.c_str(), derby.status().ToString().c_str());
-        return 1;
-      }
-      results[i] = RunCampaign(**derby, in.label, in.rpc_p, in.disk_p,
+      auto derby = OrDie(BuildDerby(cfg), "derby build (" + in.label + ")");
+      results[i] = RunCampaign(*derby, in.label, in.rpc_p, in.disk_p,
                                /*seed=*/1);
       return 0;
     });

@@ -37,12 +37,8 @@ int Main(int argc, char** argv) {
                               SelectionMode::kScan};
     for (int i = 0; i < 2; ++i) {
       spec.mode = modes[i];
-      auto run = RunSelection(derby->db.get(), spec);
-      if (!run.ok()) {
-        std::fprintf(stderr, "FATAL: %s\n", run.status().ToString().c_str());
-        return 1;
-      }
-      per_mode[i] = *run;
+      per_mode[i] = OrDie(RunSelection(derby->db.get(), spec),
+                          std::string(SelectionModeName(modes[i])));
       StatRecord rec;
       rec.database = "fig06 2e3x2e6";
       rec.cluster = "class";

@@ -37,7 +37,7 @@ int Main(int argc, char** argv) {
     spec.proj_attr = derby->meta.c_age;
     spec.mode = SelectionMode::kScan;
     scan_at_tenth =
-        RunSelection(derby->db.get(), spec)->seconds * opts.scale;
+        OrDie(RunSelection(derby->db.get(), spec), "scan").seconds * opts.scale;
   }
 
   for (int i = 0; i < 4; ++i) {
@@ -50,9 +50,9 @@ int Main(int argc, char** argv) {
     spec.proj_attr = derby->meta.c_age;
 
     spec.mode = SelectionMode::kSortedIndexScan;
-    auto sorted = RunSelection(derby->db.get(), spec).value();
+    auto sorted = OrDie(RunSelection(derby->db.get(), spec), "sorted index");
     spec.mode = SelectionMode::kScan;
-    auto scan = RunSelection(derby->db.get(), spec).value();
+    auto scan = OrDie(RunSelection(derby->db.get(), spec), "scan");
     if (sel == 90) scan_at_90 = scan.seconds * opts.scale;
 
     for (auto [mode, run] :

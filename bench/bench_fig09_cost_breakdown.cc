@@ -67,15 +67,10 @@ Breakdown Decompose(const TraceNode& trace, const CostModel& m,
 std::unique_ptr<TraceNode> RunTraced(Database* db, const SelectionSpec& spec,
                                      const BenchOptions& opts) {
   TraceSession session(&db->sim());
-  auto run = RunSelection(db, spec);
-  if (!run.ok()) {
-    std::fprintf(stderr, "FATAL: %s\n", run.status().ToString().c_str());
-    std::exit(1);
-  }
+  OrDie(RunSelection(db, spec), "selection");
   std::unique_ptr<TraceNode> trace = session.Take();
   if (trace == nullptr) {
-    std::fprintf(stderr, "FATAL: selection run produced no trace\n");
-    std::exit(1);
+    Die("selection", Status::Internal("run produced no trace"));
   }
   if (opts.verbose) {
     std::printf("\n%s", RenderTraceTree(*trace).c_str());

@@ -46,7 +46,7 @@ int Main(int argc, char** argv) {
     TreeJoinAlgo algo = std::string(r.algo) == "PHJ" ? TreeJoinAlgo::kPHJ
                                                      : TreeJoinAlgo::kCHJ;
     uint64_t bytes =
-        MeasureHashTableBytes(derby.db.get(), spec, algo).value();
+        OrDie(MeasureHashTableBytes(derby.db.get(), spec, algo), r.algo);
     double mb = static_cast<double>(bytes) * opts.scale / (1 << 20);
     char rel[16], selbuf[16];
     std::snprintf(rel, sizeof(rel), "1:%u", r.kids);

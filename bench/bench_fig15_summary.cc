@@ -50,29 +50,24 @@ Winner BestAlgo(DerbyDb& derby, double sel_pat, double sel_prov,
     // Each run is traced; the StatRecord is filled from the trace root —
     // the same deltas the run's global Metrics report, but attributable.
     TraceSession session(&derby.db->sim());
-    auto run = RunTreeQuery(derby.db.get(), spec, algo);
-    if (!run.ok()) {
-      std::fprintf(stderr, "FATAL: %s\n", run.status().ToString().c_str());
-      std::exit(1);
-    }
+    const std::string algo_name(AlgoName(algo));
+    OrDie(RunTreeQuery(derby.db.get(), spec, algo), algo_name);
     std::unique_ptr<TraceNode> trace = session.Take();
     if (trace == nullptr) {
-      std::fprintf(stderr, "FATAL: %s run produced no trace\n",
-                   std::string(AlgoName(algo)).c_str());
-      std::exit(1);
+      Die(algo_name, Status::Internal("run produced no trace"));
     }
     double seconds = trace->seconds * scale;
     StatRecord rec;
     rec.database = db_label;
     rec.cluster = std::string(ClusteringName(derby.db->clustering()));
-    rec.algo = std::string(AlgoName(algo));
+    rec.algo = algo_name;
     rec.selectivity_patients_pct = sel_pat;
     rec.selectivity_providers_pct = sel_prov;
     rec.result_count = trace->rows;
     rec.FillFrom(trace->metrics, seconds);
     stats->Add(rec);
     if (best.algo.empty() || seconds < best.seconds) {
-      best = {std::string(AlgoName(algo)), seconds};
+      best = {algo_name, seconds};
     }
   }
   return best;

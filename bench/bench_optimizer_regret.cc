@@ -34,9 +34,9 @@ int Main(int argc, char** argv) {
                                        TreeJoinAlgo::kPHJ,
                                        TreeJoinAlgo::kCHJ};
         for (int a = 0; a < 4; ++a) {
-          measured[a] = RunTreeQuery(derby->db.get(), spec, algos[a])
-                            .value()
-                            .seconds;
+          measured[a] =
+              OrDie(RunTreeQuery(derby->db.get(), spec, algos[a]), "tree query")
+                  .seconds;
           if (!have || measured[a] < best) {
             best = measured[a];
             best_algo = algos[a];
@@ -47,19 +47,20 @@ int Main(int argc, char** argv) {
         BoundTreeQuery bound;
         bound.spec = spec;
         PlanChoice heuristic =
-            ChoosePlan(derby->db.get(), BoundQuery(bound),
-                       OptimizerStrategy::kHeuristic)
-                .value();
+            OrDie(ChoosePlan(derby->db.get(), BoundQuery(bound),
+                             OptimizerStrategy::kHeuristic),
+                  "heuristic plan");
         PlanChoice cost_based =
-            ChoosePlan(derby->db.get(), BoundQuery(bound),
-                       OptimizerStrategy::kCostBased)
-                .value();
+            OrDie(ChoosePlan(derby->db.get(), BoundQuery(bound),
+                             OptimizerStrategy::kCostBased),
+                  "cost-based plan");
         auto time_of = [&](TreeJoinAlgo algo) {
           for (int a = 0; a < 4; ++a) {
             if (algos[a] == algo) return measured[a];
           }
           // Outside the paper's four (e.g. hybrid hashing): measure it.
-          return RunTreeQuery(derby->db.get(), spec, algo).value().seconds;
+          return OrDie(RunTreeQuery(derby->db.get(), spec, algo), "tree query")
+              .seconds;
         };
         double ht = time_of(heuristic.algo);
         double ct = time_of(cost_based.algo);

@@ -79,42 +79,20 @@ bool CheckReclusterOffBitIdentity(const BenchOptions& opts,
 
   auto plain_db =
       BuildDerbyOrDie(2000, 1000, ClusteringStrategy::kRandomized, opts);
-  auto plain = RunWorkload(plain_db.get(), spec);
-  if (!plain.ok()) {
-    std::fprintf(stderr, "FATAL: plain recluster-off run: %s\n",
-                 plain.status().ToString().c_str());
-    return false;
-  }
+  auto plain = OrDie(RunWorkload(plain_db.get(), spec),
+                     "plain recluster-off run");
 
   auto hooked_db =
       BuildDerbyOrDie(2000, 1000, ClusteringStrategy::kRandomized, opts);
   HeatTracker idle(&hooked_db->db->sim());
   idle.set_enabled(false);
-  Result<WorkloadReport> hooked = [&] {
+  WorkloadReport hooked = [&] {
     ObjectStore::ObserverScope observed(&hooked_db->db->store(), &idle);
-    return RunWorkload(hooked_db.get(), spec);
+    return OrDie(RunWorkload(hooked_db.get(), spec),
+                 "hooked recluster-off run");
   }();
-  if (!hooked.ok()) {
-    std::fprintf(stderr, "FATAL: hooked recluster-off run: %s\n",
-                 hooked.status().ToString().c_str());
-    return false;
-  }
 
-  const std::string a = plain->ToJson();
-  const std::string b = hooked->ToJson();
-  const bool identical = a == b;
-  std::fprintf(Out(), "recluster-off bit-identity gate: %s\n",
-               identical ? "PASS" : "FAIL");
-  if (!identical) {
-    size_t i = 0;
-    while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
-    std::fprintf(stderr,
-                 "reports diverge at byte %zu:\n  plain:  %.60s\n"
-                 "  hooked: %.60s\n",
-                 i, a.c_str() + (i < a.size() ? i : a.size()),
-                 b.c_str() + (i < b.size() ? i : b.size()));
-  }
-  return identical;
+  return SameReport("recluster-off bit-identity gate", plain, hooked);
 }
 
 struct PhaseResult {
@@ -123,16 +101,9 @@ struct PhaseResult {
 };
 
 PhaseResult RunPhase(DerbyDb* derby, const WorkloadSpec& spec,
-                     WorkloadTelemetry* telemetry, bool* ok) {
+                     WorkloadTelemetry* telemetry) {
   PhaseResult r;
-  auto report = RunWorkload(derby, spec, telemetry);
-  if (!report.ok()) {
-    std::fprintf(stderr, "FATAL: workload: %s\n",
-                 report.status().ToString().c_str());
-    *ok = false;
-    return r;
-  }
-  r.report = std::move(report).value();
+  r.report = OrDie(RunWorkload(derby, spec, telemetry), "workload");
   r.p50_s = r.report.latencies.Quantile(0.50) / 1e9;
   return r;
 }
@@ -143,12 +114,10 @@ int Main(int argc, char** argv) {
   const uint32_t flag_queries = UintFlag(argc, argv, "--queries=");
   const uint32_t queries = flag_queries > 0 ? flag_queries : 6;
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   uint8_t gate_ok = 0;
   PhaseResult scattered, adapt, converged, baseline;
   WorkloadTelemetry telemetry;
-  uint8_t chain_ok = 0;
-  uint8_t baseline_ok = 0;
 
   cells.Add("gate_off_identity", [&] {
     gate_ok = CheckReclusterOffBitIdentity(opts, queries) ? 1 : 0;
@@ -159,11 +128,9 @@ int Main(int argc, char** argv) {
     // The adaptive database: random placement, then reclustered online.
     auto adaptive =
         BuildDerbyOrDie(2000, 1000, ClusteringStrategy::kRandomized, opts);
-    bool ok = true;
 
     // Phase 1 — scattered: the cold random placement, reorganizer off.
-    scattered = RunPhase(adaptive.get(), TraversalSpec(queries), nullptr, &ok);
-    if (!ok) return 1;
+    scattered = RunPhase(adaptive.get(), TraversalSpec(queries), nullptr);
 
     // Phase 2 — adapt: reorganizer on. Wakes often (relative to the cold
     // traversal's virtual duration) and with a page budget generous enough
@@ -176,14 +143,11 @@ int Main(int argc, char** argv) {
     adapt_spec.recluster_page_budget = 100000;
     adapt_spec.recluster_min_heat = 1.0;
     adapt_spec.recluster_min_span = 1.5;
-    adapt = RunPhase(adaptive.get(), adapt_spec, &telemetry, &ok);
-    if (!ok) return 1;
+    adapt = RunPhase(adaptive.get(), adapt_spec, &telemetry);
 
     // Phase 3 — converged: reorganizer off again; whatever placement the
     // adapt phase produced is what this phase measures.
-    converged = RunPhase(adaptive.get(), TraversalSpec(queries), nullptr, &ok);
-    if (!ok) return 1;
-    chain_ok = 1;
+    converged = RunPhase(adaptive.get(), TraversalSpec(queries), nullptr);
     return 0;
   });
 
@@ -192,15 +156,11 @@ int Main(int argc, char** argv) {
     // same logical database.
     auto composed =
         BuildDerbyOrDie(2000, 1000, ClusteringStrategy::kComposition, opts);
-    bool ok = true;
-    baseline = RunPhase(composed.get(), TraversalSpec(queries), nullptr, &ok);
-    if (!ok) return 1;
-    baseline_ok = 1;
+    baseline = RunPhase(composed.get(), TraversalSpec(queries), nullptr);
     return 0;
   });
 
   if (!cells.RunAll()) return 1;
-  if (chain_ok == 0 || baseline_ok == 0) return 1;
 
   StatStore stats;
   telemetry::FlatRun summary;

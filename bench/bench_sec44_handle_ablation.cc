@@ -41,7 +41,7 @@ int Main(int argc, char** argv) {
     cfg.clustering = ClusteringStrategy::kClassClustered;
     cfg.scale = opts.scale;
     cfg.db.handles = mode;
-    auto derby = BuildDerby(cfg).value();
+    auto derby = OrDie(BuildDerby(cfg), "derby build");
 
     // Cold associative scan (the Figure 7 no-index selection at 90%).
     SelectionSpec spec;
@@ -51,11 +51,12 @@ int Main(int argc, char** argv) {
     spec.hi = INT64_MAX;
     spec.proj_attr = derby->meta.c_age;
     spec.mode = SelectionMode::kScan;
-    auto scan = RunSelection(derby->db.get(), spec).value();
+    auto scan = OrDie(RunSelection(derby->db.get(), spec), "cold scan");
 
     // Tree query (PHJ at 90/90 — the handle-heavy hash join).
     TreeQuerySpec tq = DerbyTreeQuery(*derby, 90, 90);
-    auto phj = RunTreeQuery(derby->db.get(), tq, TreeJoinAlgo::kPHJ).value();
+    auto phj =
+        OrDie(RunTreeQuery(derby->db.get(), tq, TreeJoinAlgo::kPHJ), "PHJ");
 
     // Warm navigation: repeatedly walk one provider's children with a hot
     // cache — the workload O2's fat handles were optimized FOR; it must
@@ -63,17 +64,21 @@ int Main(int argc, char** argv) {
     Database* db = derby->db.get();
     db->BeginMeasuredRun();
     {
-      PersistentCollection* provs = db->GetCollection("Providers").value();
-      Rid prid = provs->At(7).value();
-      ObjectHandle* ph = db->store().Get(prid).value();
-      auto kids = db->store().GetRefSet(ph, derby->meta.p_clients).value();
+      PersistentCollection* provs =
+          OrDie(db->GetCollection("Providers"), "warm navigation");
+      Rid prid = OrDie(provs->At(7), "warm navigation");
+      ObjectHandle* ph = OrDie(db->store().Get(prid), "warm navigation");
+      auto kids = OrDie(db->store().GetRefSet(ph, derby->meta.p_clients),
+                        "warm navigation");
       // Keep the navigated working set comfortably inside the (scaled)
       // client cache so the loop measures in-memory navigation, not I/O.
       size_t working_set = std::min<size_t>(kids.size(), 64);
       for (int rep = 0; rep < 50; ++rep) {
         for (size_t k = 0; k < working_set; ++k) {
-          ObjectHandle* ch = db->store().Get(kids[k]).value();
-          (void)db->store().GetInt32(ch, derby->meta.c_age).value();
+          ObjectHandle* ch =
+              OrDie(db->store().Get(kids[k]), "warm navigation");
+          (void)OrDie(db->store().GetInt32(ch, derby->meta.c_age),
+                      "warm navigation");
           db->store().Unref(ch);
         }
       }
@@ -94,9 +99,10 @@ int Main(int argc, char** argv) {
     cfg.avg_children = 1000;
     cfg.scale = opts.scale;
     cfg.db.strings = StringStorage::kSeparateRecord;
-    auto derby = BuildDerby(cfg).value();
+    auto derby = OrDie(BuildDerby(cfg), "derby build");
     TreeQuerySpec tq = DerbyTreeQuery(*derby, 90, 90);
-    auto phj = RunTreeQuery(derby->db.get(), tq, TreeJoinAlgo::kPHJ).value();
+    auto phj =
+        OrDie(RunTreeQuery(derby->db.get(), tq, TreeJoinAlgo::kPHJ), "PHJ");
     rows.push_back({"fat + separate string records", "-",
                     FormatSeconds(phj.seconds * opts.scale), "-"});
   }

@@ -75,28 +75,13 @@ WorkloadSpec BaseSpec(uint32_t clients, uint32_t queries) {
 bool CheckSingleServerIdentity(DerbyDb& derby, uint32_t clients,
                                uint32_t queries) {
   WorkloadSpec inherit = BaseSpec(clients, queries);
-  auto a = RunWorkload(&derby, inherit);
+  auto a = OrDie(RunWorkload(&derby, inherit), "identity gate run");
 
   WorkloadSpec explicit_one = BaseSpec(clients, queries);
   explicit_one.num_servers = 1;
   explicit_one.replication = false;
-  auto b = RunWorkload(&derby, explicit_one);
-
-  if (!a.ok() || !b.ok()) {
-    std::fprintf(stderr, "FATAL: identity gate run failed: %s / %s\n",
-                 a.status().ToString().c_str(),
-                 b.status().ToString().c_str());
-    return false;
-  }
-  const bool exact = a->ToJson() == b->ToJson();
-  std::fprintf(Out(), "single-server identity gate: %s\n",
-               exact ? "PASS" : "FAIL");
-  if (!exact) {
-    std::fprintf(stderr,
-                 "num_servers=1 replication=off diverged from the inherited "
-                 "single-server engine\n");
-  }
-  return exact;
+  auto b = OrDie(RunWorkload(&derby, explicit_one), "identity gate run");
+  return SameReport("single-server identity gate", a, b);
 }
 
 /// Out-slot of one workload cell.
@@ -191,7 +176,7 @@ int Main(int argc, char** argv) {
     return 0;
   };
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   // Not vector<bool>: its bit-packing would let two cells race on one byte.
   uint8_t gate_ok = 0;
   std::vector<RunOut> sweep(server_counts.size());
@@ -326,13 +311,9 @@ int Main(int argc, char** argv) {
   // database must produce bit-identical artifacts. The replicated campaign
   // cell and the repeat cell each built their own database, so comparing
   // their reports is exactly the two-independent-builds check.
-  {
-    const bool identical =
-        replicated.ToJson() == det_repeat_out.report.ToJson();
-    std::printf("failover determinism gate: %s\n",
-                identical ? "PASS" : "FAIL");
-    ok = ok && identical;
-  }
+  ok = SameReport("failover determinism gate", replicated,
+                  det_repeat_out.report) &&
+       ok;
 
   auto blackholed = [](const WorkloadReport& r) {
     for (const FaultSiteReport& f : r.fault_sites) {

@@ -69,38 +69,17 @@ bool CheckRatioZeroBitIdentity(ClusteringStrategy clustering,
   WorkloadSpec spec = MixSpec(clients, queries, /*ratio=*/0);
 
   auto plain_db = BuildDerbyOrDie(2000, 1000, clustering, opts);
-  auto plain = RunWorkload(plain_db.get(), spec);
-  if (!plain.ok()) {
-    std::fprintf(stderr, "FATAL: ratio-0 run: %s\n",
-                 plain.status().ToString().c_str());
-    return false;
-  }
+  auto plain = OrDie(RunWorkload(plain_db.get(), spec), "ratio-0 run");
 
   auto hooked_db = BuildDerbyOrDie(2000, 1000, clustering, opts);
   TxnManager idle(hooked_db->db.get());
   TwoLevelCache::LockHookScope idle_hook(&hooked_db->db->cache(), &idle);
-  auto hooked = RunWorkload(hooked_db.get(), spec);
-  if (!hooked.ok()) {
-    std::fprintf(stderr, "FATAL: hooked ratio-0 run: %s\n",
-                 hooked.status().ToString().c_str());
-    return false;
-  }
+  auto hooked = OrDie(RunWorkload(hooked_db.get(), spec), "hooked ratio-0 run");
 
-  const std::string a = plain->ToJson();
-  const std::string b = hooked->ToJson();
-  const bool identical = a == b;
-  std::fprintf(Out(), "ratio-0 bit-identity gate (%s, %u clients): %s\n",
-               std::string(ClusteringName(clustering)).c_str(), clients,
-               identical ? "PASS" : "FAIL");
-  if (!identical) {
-    size_t i = 0;
-    while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
-    std::fprintf(stderr, "reports diverge at byte %zu:\n  plain:  %.60s\n"
-                         "  hooked: %.60s\n",
-                 i, a.c_str() + (i < a.size() ? i : a.size()),
-                 b.c_str() + (i < b.size() ? i : b.size()));
-  }
-  return identical;
+  return SameReport("ratio-0 bit-identity gate (" +
+                        std::string(ClusteringName(clustering)) + ", " +
+                        std::to_string(clients) + " clients)",
+                    plain, hooked);
 }
 
 int Main(int argc, char** argv) {
@@ -125,7 +104,7 @@ int Main(int argc, char** argv) {
   const std::vector<ClusteringStrategy> clusterings = {
       ClusteringStrategy::kClassClustered, ClusteringStrategy::kComposition};
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   // Not vector<bool>: its bit-packing would let two cells race on one byte.
   std::vector<uint8_t> gate_ok(clusterings.size(), 0);
   std::vector<std::vector<WorkloadRun>> sweeps(clusterings.size());

@@ -151,7 +151,7 @@ int Main(int argc, char** argv) {
   // one sweep cell per client count. Every cell builds its own database
   // (the sweeps run cold_start, so a fresh build reproduces the shared-
   // database counters exactly).
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   // Not vector<bool>: its bit-packing would let two cells race on one byte.
   std::vector<uint8_t> gate_ok(clusterings.size(), 0);
   // One out-slot per (clustering x client-count) sweep cell. Each slot is

@@ -12,8 +12,6 @@
 #endif
 
 #include "common/cell_harness.h"
-#include "src/common/string_util.h"
-#include "src/query/tree_query.h"
 
 namespace treebench::bench {
 
@@ -83,6 +81,7 @@ void WritePerfJson() {
 
 BenchOptions ParseArgs(int argc, char** argv) {
   BenchOptions opts;
+  uint32_t requested_jobs = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
@@ -105,10 +104,14 @@ BenchOptions ParseArgs(int argc, char** argv) {
       opts.telemetry_dir = arg + 16;
     } else if (std::strncmp(arg, "--query-log-dir=", 16) == 0) {
       opts.query_log_dir = arg + 16;
+    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
+      const long jobs = std::atol(arg + 7);
+      if (jobs > 0 && jobs < 1024) requested_jobs = static_cast<uint32_t>(jobs);
     } else if (std::strcmp(arg, "--verbose") == 0) {
       opts.verbose = true;
     }
   }
+  opts.jobs = CellRunner::ResolveJobs(requested_jobs);
   if (!opts.perf_json_path.empty() && g_perf_json_path.empty()) {
     g_perf_json_path = opts.perf_json_path;
     g_perf_start = std::chrono::steady_clock::now();
@@ -176,6 +179,29 @@ std::string Ratio(double value, double best) {
   return buf;
 }
 
+void Die(const std::string& what, const Status& status) {
+  const std::string message = what + ": " + status.ToString();
+  if (Out() != stdout) throw std::runtime_error(message);
+  std::fprintf(stderr, "FATAL: %s\n", message.c_str());
+  std::exit(1);
+}
+
+bool SameReport(const std::string& label, const WorkloadReport& a,
+                const WorkloadReport& b) {
+  const std::string ja = a.ToJson();
+  const std::string jb = b.ToJson();
+  const bool same = ja == jb;
+  std::fprintf(Out(), "%s: %s\n", label.c_str(), same ? "PASS" : "FAIL");
+  if (!same) {
+    size_t i = 0;
+    while (i < ja.size() && i < jb.size() && ja[i] == jb[i]) ++i;
+    std::fprintf(stderr, "%s: reports diverge at byte %zu:\n  a: %.60s\n"
+                         "  b: %.60s\n",
+                 label.c_str(), i, ja.c_str() + i, jb.c_str() + i);
+  }
+  return same;
+}
+
 std::unique_ptr<DerbyDb> BuildDerbyOrDie(uint64_t providers,
                                          uint32_t avg_children,
                                          ClusteringStrategy clustering,
@@ -191,80 +217,9 @@ std::unique_ptr<DerbyDb> BuildDerbyOrDie(uint64_t providers,
                static_cast<unsigned long long>(providers), avg_children,
                std::string(ClusteringName(clustering)).c_str(), opts.scale);
   std::fflush(Out());
-  auto result = BuildDerby(cfg);
-  if (!result.ok()) {
-    if (Out() != stdout) {
-      // Inside a cell: let the runner surface the error on the main thread
-      // after the pool drains (exiting from a worker thread is unsafe).
-      throw std::runtime_error("derby build failed: " +
-                               result.status().ToString());
-    }
-    std::fprintf(stderr, "FATAL: %s\n", result.status().ToString().c_str());
-    std::exit(1);
-  }
-  std::fprintf(Out(), " done (%.0fs simulated load)\n",
-               result->get()->load_seconds);
-  return std::move(result).value();
-}
-
-void RunTreeQueryGrid(DerbyDb& derby, const std::string& db_label,
-                      const PaperGrid& paper, const BenchOptions& opts,
-                      StatStore* stats) {
-  static constexpr double kSels[4][2] = {
-      {10, 10}, {10, 90}, {90, 10}, {90, 90}};
-  static constexpr TreeJoinAlgo kAlgos[4] = {
-      TreeJoinAlgo::kNL, TreeJoinAlgo::kNOJOIN, TreeJoinAlgo::kPHJ,
-      TreeJoinAlgo::kCHJ};
-
-  std::vector<std::vector<std::string>> rows;
-  for (int r = 0; r < 4; ++r) {
-    TreeQuerySpec spec =
-        DerbyTreeQuery(derby, kSels[r][0], kSels[r][1]);
-    double measured[4];
-    for (int a = 0; a < 4; ++a) {
-      auto run = RunTreeQuery(derby.db.get(), spec, kAlgos[a]);
-      if (!run.ok()) {
-        std::fprintf(stderr, "FATAL: %s\n",
-                     run.status().ToString().c_str());
-        std::exit(1);
-      }
-      measured[a] = run->seconds * opts.scale;
-      if (stats != nullptr) {
-        StatRecord rec;
-        rec.database = db_label;
-        rec.cluster = std::string(ClusteringName(derby.db->clustering()));
-        rec.algo = std::string(AlgoName(kAlgos[a]));
-        rec.query_text =
-            "select tuple(n: p.name, a: pa.age) from p in Providers, "
-            "pa in p.clients where pa.mrn < k1 and p.upin < k2";
-        rec.selectivity_patients_pct = kSels[r][0];
-        rec.selectivity_providers_pct = kSels[r][1];
-        rec.result_count = run->result_count;
-        rec.server_cache_bytes =
-            derby.db->cache().config().server_bytes;
-        rec.client_cache_bytes =
-            derby.db->cache().config().client_bytes;
-        rec.FillFrom(run->metrics, run->seconds * opts.scale);
-        stats->Add(rec);
-      }
-    }
-    double best = *std::min_element(measured, measured + 4);
-    for (int a = 0; a < 4; ++a) {
-      const double paper_s = paper.seconds[r][a];
-      char sel[32];
-      std::snprintf(sel, sizeof(sel), "%2.0f / %2.0f", kSels[r][0],
-                    kSels[r][1]);
-      rows.push_back({a == 0 ? sel : "",
-                      std::string(AlgoName(kAlgos[a])),
-                      FormatSeconds(measured[a]), Ratio(measured[a], best),
-                      paper_s >= 0 ? FormatSeconds(paper_s) : "-",
-                      paper_s >= 0 ? Ratio(measured[a], paper_s) : "-"});
-    }
-  }
-  PrintTable(db_label + " — time per algorithm (simulated seconds, paper scale)",
-             {"sel pat/prov", "algo", "measured(s)", "xbest", "paper(s)",
-              "measured/paper"},
-             rows);
+  auto derby = OrDie(BuildDerby(cfg), "derby build");
+  std::fprintf(Out(), " done (%.0fs simulated load)\n", derby->load_seconds);
+  return derby;
 }
 
 bool RunWorkloadInto(DerbyDb* derby, const WorkloadSpec& spec,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/benchdb/derby.h"
@@ -53,17 +54,21 @@ struct BenchOptions {
   /// Optional directories for per-run workload telemetry and query logs.
   std::string telemetry_dir;
   std::string query_log_dir;
+  /// Worker count for the bench's cell pool: the last --jobs=N with
+  /// 1 <= N <= 1023, else TREEBENCH_JOBS, else the hardware thread count
+  /// (CellRunner::ResolveJobs).
+  uint32_t jobs = 1;
 };
 
 /// The database scale of every extension bench's --scale=0 smoke config.
 inline constexpr uint32_t kSmokeScale = 64;
 
-/// Parses --scale=N, --csv=PATH, --stats-json=PATH, --trace-json=PATH,
-/// --perf-json=PATH, --summary-json=PATH, --json=PATH, --telemetry-dir=DIR,
-/// --query-log-dir=DIR, --verbose; ignores unknown flags (so
-/// google-benchmark style flags pass through if ever mixed). --scale values
-/// below 1 (and garbage) clamp to 1. --perf-json also starts the wall-clock
-/// timer and registers the exit-time writer.
+/// Parses --scale=N, --jobs=N, --csv=PATH, --stats-json=PATH,
+/// --trace-json=PATH, --perf-json=PATH, --summary-json=PATH, --json=PATH,
+/// --telemetry-dir=DIR, --query-log-dir=DIR, --verbose; ignores unknown
+/// flags (so google-benchmark style flags pass through if ever mixed).
+/// --scale values below 1 (and garbage) clamp to 1. --perf-json also starts
+/// the wall-clock timer and registers the exit-time writer.
 BenchOptions ParseArgs(int argc, char** argv);
 
 /// The value of the last `prefix`N flag (e.g. prefix "--clients="), read
@@ -82,14 +87,32 @@ void PrintTable(const std::string& title,
 /// Formats "x1.23" style ratios as the paper's tables do.
 std::string Ratio(double value, double best);
 
+/// The one failure path of a bench: on the main thread prints
+/// "FATAL: <what>: <status>" to stderr and exits 1; inside a cell body
+/// (Out() is the cell's capture) throws instead, because exiting from a
+/// worker thread is unsafe — the cell runner rethrows the error on the main
+/// thread after the pool drains.
+[[noreturn]] void Die(const std::string& what, const Status& status);
+
+/// The value of `result`, or Die(what, status) when it holds an error.
+template <typename T>
+T OrDie(Result<T> result, const std::string& what) {
+  if (!result.ok()) Die(what, result.status());
+  return std::move(result).value();
+}
+
+/// The identity gate over two workload reports: prints "<label>: PASS" or
+/// "<label>: FAIL" to Out() and, on FAIL, the first differing byte of the
+/// two report JSONs to stderr. Returns true when the reports are identical.
+bool SameReport(const std::string& label, const WorkloadReport& a,
+                const WorkloadReport& b);
+
 /// Builds a Derby database for a bench, printing progress to bench::Out()
 /// (virtual-time figures only, so the message is byte-stable across hosts
 /// and --jobs values). Seconds reported by subsequent runs are multiplied
 /// by `opts.scale` for comparison against paper-scale numbers (the machine
-/// is scaled with the data, so costs scale ~linearly). On build failure:
-/// inside a cell body the error is thrown (the cell runner rethrows it on
-/// the main thread after the pool drains); on the main thread the process
-/// exits 1, as before.
+/// is scaled with the data, so costs scale ~linearly). A failed build goes
+/// through Die().
 std::unique_ptr<DerbyDb> BuildDerbyOrDie(uint64_t providers,
                                          uint32_t avg_children,
                                          ClusteringStrategy clustering,
@@ -99,20 +122,6 @@ std::unique_ptr<DerbyDb> BuildDerbyOrDie(uint64_t providers,
 /// wall-clock, occupancy) for the exit-time *_perf.json writer. Called by
 /// BenchCells::RunAll(); main thread only.
 void RecordHarnessPerf(const CellRunner& runner);
-
-/// Paper reference values for one Figure 11-14 style grid: rows are the
-/// (sel patients, sel providers) pairs (10,10),(10,90),(90,10),(90,90);
-/// columns are NL, NOJOIN, PHJ, CHJ. Negative = not reported.
-struct PaperGrid {
-  double seconds[4][4];
-};
-
-/// Runs the canonical tree query for all four algorithms over the grid,
-/// prints measured-vs-paper seconds (scaled to paper scale) and appends a
-/// StatRecord per run.
-void RunTreeQueryGrid(DerbyDb& derby, const std::string& db_label,
-                      const PaperGrid& paper, const BenchOptions& opts,
-                      StatStore* stats);
 
 /// One finished workload run, handed from a bench cell to the merge step.
 struct WorkloadRun {

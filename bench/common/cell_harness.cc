@@ -1,6 +1,5 @@
 #include "common/cell_harness.h"
 
-#include <cstring>
 #include <exception>
 #include <utility>
 
@@ -20,17 +19,6 @@ FILE* SetThreadOut(FILE* f) {
   FILE* prev = t_out;
   t_out = f;
   return prev;
-}
-
-uint32_t ParseJobs(int argc, char** argv) {
-  uint32_t requested = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      const long v = std::atol(argv[i] + 7);
-      if (v > 0 && v < 1024) requested = static_cast<uint32_t>(v);
-    }
-  }
-  return CellRunner::ResolveJobs(requested);
 }
 
 void BenchCells::Add(std::string label, std::function<int()> body) {

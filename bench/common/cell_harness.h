@@ -22,10 +22,6 @@ FILE* Out();
 /// the previous stream so callers can restore it.
 FILE* SetThreadOut(FILE* f);
 
-/// Parses --jobs=N from argv (0/absent = auto), then resolves the worker
-/// count: explicit flag > TREEBENCH_JOBS env > hardware concurrency.
-uint32_t ParseJobs(int argc, char** argv);
-
 /// The per-bench driver over CellRunner: benches enumerate their hermetic
 /// cells with Add() in the exact order a sequential program would run them,
 /// then call RunAll() once. Cell bodies print through bench::Out() and

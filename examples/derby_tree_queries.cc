@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\n(seconds are simulated on the paper's 1995-class platform and "
-      "scaled to paper size;\nsee bench/bench_fig11_* for the full "
+      "scaled to paper size;\nsee bench/tree_grid.cc for the full "
       "reproduction grids)\n");
   return 0;
 }

@@ -76,6 +76,17 @@ Result<std::unique_ptr<DerbyDb>> BuildDerby(const DerbyConfig& config) {
     db_opts.cache.client_bytes /= config.scale;
     db_opts.cache.server_bytes /= config.scale;
   }
+  // Creating an index needs two live client pages: BTreeIndex's constructor
+  // allocates the meta page, then the root, and writes the root's page id
+  // through the meta page pointer it took first. A one-page client cache
+  // evicts (and checksums) the meta page in between, so its next fill
+  // reports a false corruption.
+  if (db_opts.cache.client_pages() < 2) {
+    return Status::InvalidArgument(
+        "scale " + std::to_string(config.scale) + " leaves a " +
+        std::to_string(db_opts.cache.client_bytes) +
+        "-byte client cache; Derby needs at least two pages");
+  }
 
   auto derby = std::make_unique<DerbyDb>();
   derby->db = std::make_unique<Database>(db_opts);

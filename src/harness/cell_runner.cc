@@ -3,7 +3,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -35,10 +34,9 @@ struct CellRunner::Cell {
 struct CellRunner::Shared {
   std::mutex mu;
   std::condition_variable cv_done;
-  // One deque per worker, seeded round-robin in submission order so jobs=1
-  // degenerates to exact sequential execution. Workers pop their own front
-  // and steal from the back of the busiest sibling.
-  std::vector<std::deque<size_t>> queues;
+  // The next cell to hand out: workers take cells in submission order, the
+  // order the main thread flushes them in, so jobs=1 is the sequential run.
+  size_t next = 0;
 };
 
 CellRunner::CellRunner(uint32_t jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
@@ -84,32 +82,16 @@ bool CellRunner::RunOneCell(Cell& cell) {
   return cell.error == nullptr;
 }
 
-void CellRunner::WorkerLoop(uint32_t worker_index) {
+void CellRunner::WorkerLoop() {
   Shared& sh = *shared_;
   for (;;) {
     size_t idx = 0;
     {
       std::lock_guard<std::mutex> lock(sh.mu);
-      std::deque<size_t>& own = sh.queues[worker_index];
-      if (!own.empty()) {
-        idx = own.front();
-        own.pop_front();
-      } else {
-        // Steal the latest-submitted pending cell from the fullest sibling:
-        // late cells are the ones a sequential run would reach last, so the
-        // main thread is least likely to be blocked waiting on them.
-        std::deque<size_t>* victim = nullptr;
-        for (std::deque<size_t>& q : sh.queues) {
-          if (!q.empty() && (victim == nullptr || q.size() > victim->size())) {
-            victim = &q;
-          }
-        }
-        if (victim == nullptr) {
-          return;  // every queue drained; pool is shutting down
-        }
-        idx = victim->back();
-        victim->pop_back();
+      if (sh.next == cells_.size()) {
+        return;  // every cell handed out; pool is shutting down
       }
+      idx = sh.next++;
     }
     RunOneCell(cells_[idx]);
     {
@@ -131,14 +113,10 @@ int CellRunner::Run(FILE* sink) {
     shared_ = &sh;
     const uint32_t workers = static_cast<uint32_t>(
         cells_.size() < jobs_ ? cells_.size() : jobs_);
-    sh.queues.resize(workers);
-    for (size_t i = 0; i < cells_.size(); ++i) {
-      sh.queues[i % workers].push_back(i);
-    }
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (uint32_t w = 0; w < workers; ++w) {
-      pool.emplace_back(&CellRunner::WorkerLoop, this, w);
+      pool.emplace_back(&CellRunner::WorkerLoop, this);
     }
     // Stream each cell's captured output in submission order as soon as the
     // completed prefix extends — this is the canonical merge: the bytes that

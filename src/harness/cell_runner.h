@@ -20,10 +20,11 @@ namespace treebench {
 ///
 /// CellRunner is the pool that makes that useful: submit cells in the order
 /// a sequential program would run them, call Run(), and the pool executes
-/// them on `jobs` worker threads with work stealing while the calling thread
-/// streams each cell's captured output to `sink` in *submission order*. The
-/// result is byte-identical output at any thread count, including jobs=1 —
-/// the determinism contract every bench artifact gate relies on.
+/// them on `jobs` worker threads, which take cells in submission order,
+/// while the calling thread streams each cell's captured output to `sink` in
+/// that same order. The result is byte-identical output at any thread count,
+/// including jobs=1 — the determinism contract every bench artifact gate
+/// relies on.
 class CellRunner {
  public:
   /// A cell body receives a FILE* to which all of its human-readable output
@@ -75,7 +76,7 @@ class CellRunner {
 
  private:
   struct Cell;
-  void WorkerLoop(uint32_t worker_index);
+  void WorkerLoop();
   bool RunOneCell(Cell& cell);
 
   const uint32_t jobs_;

@@ -2,13 +2,16 @@
 // every flag that more than one bench reads, so each flag behaves the same
 // on every bench.
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bench_util.h"
+#include "common/cell_harness.h"
 #include "gtest/gtest.h"
 
 namespace treebench::bench {
@@ -93,6 +96,77 @@ TEST(BenchArgsTest, UintFlagReadsTheLastOccurrence) {
   EXPECT_EQ(Uint(args, "--queries="), 3u);
   EXPECT_EQ(Uint(args, "--servers="), 0u);
   EXPECT_EQ(Uint(args, "--jobs="), 0u);
+}
+
+// The last --jobs=N with 1 <= N <= 1023 wins; anything else falls through
+// to TREEBENCH_JOBS, then to the hardware thread count.
+TEST(BenchArgsTest, JobsFlagResolvesThroughCellRunner) {
+  const uint32_t fallback = CellRunner::ResolveJobs(0);
+  EXPECT_EQ(Parse({}).jobs, fallback);
+  EXPECT_EQ(Parse({"--jobs=4"}).jobs, 4u);
+  EXPECT_EQ(Parse({"--jobs=0"}).jobs, fallback);
+  EXPECT_EQ(Parse({"--jobs=abc"}).jobs, fallback);
+  EXPECT_EQ(Parse({"--jobs=5000"}).jobs, fallback);
+  EXPECT_EQ(Parse({"--jobs=1023"}).jobs, 1023u);
+  EXPECT_EQ(Parse({"--jobs=4", "--jobs=2"}).jobs, 2u);
+  EXPECT_EQ(Parse({"--jobs=4", "--jobs=0"}).jobs, 4u);
+
+  const char* env = std::getenv("TREEBENCH_JOBS");
+  const std::string saved = env != nullptr ? env : "";
+  ASSERT_EQ(setenv("TREEBENCH_JOBS", "3", /*overwrite=*/1), 0);
+  EXPECT_EQ(Parse({"--jobs=0"}).jobs, 3u);
+  EXPECT_EQ(Parse({"--jobs=4"}).jobs, 4u);
+  if (env != nullptr) {
+    setenv("TREEBENCH_JOBS", saved.c_str(), 1);
+  } else {
+    unsetenv("TREEBENCH_JOBS");
+  }
+}
+
+Result<int> Failed() { return Status::Internal("boom"); }
+
+TEST(OrDieTest, PassesTheValueThrough) {
+  EXPECT_EQ(OrDie(Result<int>(7), "seven"), 7);
+}
+
+TEST(OrDieDeathTest, ExitsOneWithFatalOnTheMainThread) {
+  EXPECT_EXIT(OrDie(Failed(), "step"), testing::ExitedWithCode(1),
+              "FATAL: step: Internal: boom");
+}
+
+TEST(OrDieTest, ThrowsInsideACell) {
+  FILE* capture = std::tmpfile();
+  ASSERT_NE(capture, nullptr);
+  FILE* prev = SetThreadOut(capture);
+  EXPECT_THROW(OrDie(Failed(), "step"), std::runtime_error);
+  SetThreadOut(prev);
+  std::fclose(capture);
+}
+
+/// SameReport's stdout line, captured through SetThreadOut.
+std::string SameReportLine(const WorkloadReport& a, const WorkloadReport& b,
+                           bool* same) {
+  char* buf = nullptr;
+  size_t len = 0;
+  FILE* capture = open_memstream(&buf, &len);
+  FILE* prev = SetThreadOut(capture);
+  *same = SameReport("gate", a, b);
+  SetThreadOut(prev);
+  std::fclose(capture);
+  std::string line(buf, len);
+  std::free(buf);
+  return line;
+}
+
+TEST(SameReportTest, PrintsPassOrFail) {
+  WorkloadReport a;
+  WorkloadReport b;
+  bool same = false;
+  EXPECT_EQ(SameReportLine(a, b, &same), "gate: PASS\n");
+  EXPECT_TRUE(same);
+  b.total_queries = 1;
+  EXPECT_EQ(SameReportLine(a, b, &same), "gate: FAIL\n");
+  EXPECT_FALSE(same);
 }
 
 TEST(WriteTextFileTest, WritesContentAndReportsFailure) {

@@ -1,5 +1,5 @@
 // Tests of the parallel bench-cell harness (src/harness/cell_runner,
-// docs/parallel_harness.md): the work-stealing pool's ordering and error
+// docs/parallel_harness.md): the pool's ordering and error
 // contracts, and the determinism gates the bench artifacts rely on — the
 // same cell set must produce byte-identical output at any --jobs value,
 // and engine instances running concurrently on separate OS threads must
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -184,6 +185,29 @@ TEST(CellRunnerTest, WorkersActuallyRunConcurrently) {
   RunToString(runner, &rc);
   EXPECT_EQ(rc, 0) << "cells never overlapped: the pool serialized them";
   EXPECT_GT(runner.occupancy(), 0.0);
+}
+
+TEST(CellRunnerTest, FreeWorkerTakesCellsInSubmissionOrder) {
+  // Cell 0 holds one of the two workers; the other must take cells 1-5 in
+  // the order they were submitted, the order the main thread flushes them.
+  CellRunner runner(2);
+  std::mutex mu;
+  std::vector<int> order;
+  runner.Submit("slow", [](FILE*) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    return 0;
+  });
+  for (int i = 1; i <= 5; ++i) {
+    runner.Submit("c" + std::to_string(i), [&, i](FILE*) {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+      return 0;
+    });
+  }
+  int rc = -1;
+  RunToString(runner, &rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(CellRunnerTest, ResolveJobsPrecedence) {

@@ -143,6 +143,23 @@ TEST(DerbyBuildTest, ScaleDividesCardinalitiesAndMemory) {
             CostModel::Sparc20().ram_bytes / 10);
 }
 
+// Index creation needs two live client pages: scale 5000 leaves one page
+// of the default 32 MiB client cache and is refused up front (it used to
+// fail later with a false checksum corruption); scale 4096 leaves two.
+TEST(DerbyBuildTest, ScaleLeavingUnderTwoClientPagesIsInvalid) {
+  DerbyConfig cfg = SmallConfig(ClusteringStrategy::kClassClustered);
+  cfg.scale = 5000;
+  auto refused = BuildDerby(cfg);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().ToString().find("scale 5000"), std::string::npos);
+  EXPECT_NE(refused.status().ToString().find("6710-byte client cache"),
+            std::string::npos);
+  cfg.scale = 4096;
+  EXPECT_TRUE(BuildDerby(cfg).ok());
+}
+
 TEST(DerbyBuildTest, AfterLoadIndexingRelocatesEverything) {
   DerbyConfig cfg = SmallConfig(ClusteringStrategy::kClassClustered);
   cfg.index_timing = DerbyConfig::IndexTiming::kAfterLoadRelocate;
