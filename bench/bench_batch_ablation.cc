@@ -45,7 +45,6 @@ namespace {
 
 /// Out-slot of one (clustering x batch) cell.
 struct BatchOut {
-  bool ok = false;
   QueryRunStats scan;
   QueryRunStats nl;
   uint64_t server_cache_bytes = 0;
@@ -87,31 +86,17 @@ int Main(int argc, char** argv) {
 
         db->sim().set_max_fetch_batch_pages(batch);
         BatchOut& out = outs[ci][bi];
-        auto scan = RunSelection(db, sel);
-        if (!scan.ok()) {
-          std::fprintf(stderr, "FATAL: scan (%s, B=%u): %s\n",
-                       cluster_label.c_str(), batch,
-                       scan.status().ToString().c_str());
-          return 1;
-        }
-        out.scan = *scan;
-        auto nl = RunTreeQuery(db, tree, TreeJoinAlgo::kNL);
-        if (!nl.ok()) {
-          std::fprintf(stderr, "FATAL: NL (%s, B=%u): %s\n",
-                       cluster_label.c_str(), batch,
-                       nl.status().ToString().c_str());
-          return 1;
-        }
-        out.nl = *nl;
+        const std::string where =
+            " (" + cluster_label + ", B=" + std::to_string(batch) + ")";
+        out.scan = OrDie(RunSelection(db, sel), "scan" + where);
+        out.nl = OrDie(RunTreeQuery(db, tree, TreeJoinAlgo::kNL), "NL" + where);
         out.server_cache_bytes = db->cache().config().server_bytes;
         out.client_cache_bytes = db->cache().config().client_bytes;
-        out.ok = true;
         return 0;
       });
     }
   }
-  const bool cells_ok = cells.RunAll();
-  if (!cells_ok) return 1;
+  if (!cells.RunAll()) return 1;
 
   StatStore stats;
   telemetry::FlatRun summary;

@@ -115,13 +115,11 @@ int Main(int argc, char** argv) {
   const uint32_t queries = flag_queries > 0 ? flag_queries : 6;
 
   BenchCells cells(opts.jobs);
-  uint8_t gate_ok = 0;
   PhaseResult scattered, adapt, converged, baseline;
   WorkloadTelemetry telemetry;
 
   cells.Add("gate_off_identity", [&] {
-    gate_ok = CheckReclusterOffBitIdentity(opts, queries) ? 1 : 0;
-    return gate_ok != 0 ? 0 : 1;
+    return CheckReclusterOffBitIdentity(opts, queries) ? 0 : 1;
   });
 
   cells.Add("adaptive_chain", [&] {
@@ -164,7 +162,6 @@ int Main(int argc, char** argv) {
 
   StatStore stats;
   telemetry::FlatRun summary;
-  bool gates_pass = gate_ok != 0;
 
   // The crossover, query by query: the adapt phase's per-query traversal
   // latencies fall as migrations land between wake-ups.
@@ -240,7 +237,7 @@ int Main(int argc, char** argv) {
       "%s\n",
       before_ratio, before_gate ? "PASS" : "FAIL", after_ratio,
       after_gate ? "PASS" : "FAIL", migrated ? "PASS" : "FAIL");
-  gates_pass = gates_pass && before_gate && after_gate && migrated;
+  const bool gates_pass = before_gate && after_gate && migrated;
 
   if (!opts.summary_json.empty()) {
     summary.Set("scattered_p50_s", scattered.p50_s);

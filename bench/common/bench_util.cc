@@ -1,6 +1,7 @@
 #include "common/bench_util.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -124,9 +125,13 @@ uint32_t UintFlag(int argc, char** argv, const char* prefix) {
   const size_t n = std::strlen(prefix);
   uint32_t value = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, n) == 0) {
-      value = static_cast<uint32_t>(std::atol(argv[i] + n));
-    }
+    if (std::strncmp(argv[i], prefix, n) != 0) continue;
+    const char* first = argv[i] + n;
+    const char* last = first + std::strlen(first);
+    uint32_t parsed = 0;
+    // from_chars takes no sign, no blanks and no out-of-range value.
+    auto [end, ec] = std::from_chars(first, last, parsed);
+    if (ec == std::errc() && end == last && parsed > 0) value = parsed;
   }
   return value;
 }
@@ -222,20 +227,12 @@ std::unique_ptr<DerbyDb> BuildDerbyOrDie(uint64_t providers,
   return derby;
 }
 
-bool RunWorkloadInto(DerbyDb* derby, const WorkloadSpec& spec,
+void RunWorkloadInto(DerbyDb* derby, const WorkloadSpec& spec,
                      const std::string& what, WorkloadRun* out,
                      WorkloadTelemetry* telemetry) {
-  auto report = RunWorkload(derby, spec, telemetry);
-  if (!report.ok()) {
-    std::fprintf(stderr, "FATAL: %s: %s\n", what.c_str(),
-                 report.status().ToString().c_str());
-    return false;
-  }
-  out->report = std::move(report).value();
+  out->report = OrDie(RunWorkload(derby, spec, telemetry), what);
   out->server_cache_bytes = derby->db->cache().config().server_bytes;
   out->client_cache_bytes = derby->db->cache().config().client_bytes;
-  out->ok = true;
-  return true;
 }
 
 StatRecord WorkloadStatRecord(const WorkloadRun& run) {

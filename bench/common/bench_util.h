@@ -71,8 +71,10 @@ inline constexpr uint32_t kSmokeScale = 64;
 /// the wall-clock timer and registers the exit-time writer.
 BenchOptions ParseArgs(int argc, char** argv);
 
-/// The value of the last `prefix`N flag (e.g. prefix "--clients="), read
-/// with atol; 0 when absent. For the flags only one bench understands.
+/// The value of the last `prefix`N flag (e.g. prefix "--clients=") whose N
+/// is a plain decimal in [1, 2^32-1]; 0 when there is none. Anything else
+/// ("-1", "12abc", "4294967296", an empty value) reads as absent, as
+/// --jobs garbage does. For the flags only one bench understands.
 uint32_t UintFlag(int argc, char** argv, const char* prefix);
 
 /// Writes `content` to `path`. When the file cannot be opened, written or
@@ -125,15 +127,14 @@ void RecordHarnessPerf(const CellRunner& runner);
 
 /// One finished workload run, handed from a bench cell to the merge step.
 struct WorkloadRun {
-  bool ok = false;
   WorkloadReport report;
   uint64_t server_cache_bytes = 0;
   uint64_t client_cache_bytes = 0;
 };
 
 /// Runs `spec` on `derby` into `out` (the report plus the database's cache
-/// sizes). On failure prints "FATAL: <what>: <status>" and returns false.
-bool RunWorkloadInto(DerbyDb* derby, const WorkloadSpec& spec,
+/// sizes). A failed run goes through OrDie(…, what).
+void RunWorkloadInto(DerbyDb* derby, const WorkloadSpec& spec,
                      const std::string& what, WorkloadRun* out,
                      WorkloadTelemetry* telemetry = nullptr);
 

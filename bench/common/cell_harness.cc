@@ -21,8 +21,8 @@ FILE* SetThreadOut(FILE* f) {
   return prev;
 }
 
-void BenchCells::Add(std::string label, std::function<int()> body) {
-  runner_.Submit(std::move(label),
+size_t BenchCells::Add(std::string label, std::function<int()> body) {
+  return runner_.Submit(std::move(label),
                  [body = std::move(body)](FILE* capture) -> int {
                    FILE* prev = SetThreadOut(capture);
                    try {

@@ -1,6 +1,7 @@
 #ifndef TREEBENCH_BENCH_COMMON_CELL_HARNESS_H_
 #define TREEBENCH_BENCH_COMMON_CELL_HARNESS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -35,13 +36,17 @@ class BenchCells {
 
   /// Adds a cell. The body runs on a pool thread with Out() bound to the
   /// cell's capture stream; it must touch only its own out-slot(s).
-  void Add(std::string label, std::function<int()> body);
+  /// Returns the cell's submission index, for Passed().
+  size_t Add(std::string label, std::function<int()> body);
 
   /// Runs every cell, streaming each cell's captured output to stdout in
   /// submission order, and records --jobs / per-cell wall-clock / pool
   /// occupancy for the bench's *_perf.json. Returns true when every cell
   /// returned 0 and none threw.
   bool RunAll();
+
+  /// After RunAll(): true when cell `index` returned 0 and did not throw.
+  bool Passed(size_t index) const { return runner_.results()[index].rc == 0; }
 
   uint32_t jobs() const { return runner_.jobs(); }
   const CellRunner& runner() const { return runner_; }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "src/cache/readahead.h"
+
 namespace treebench {
 
 TwoLevelCache::TwoLevelCache(DiskManager* disk, SimContext* sim,
@@ -92,12 +94,14 @@ void TwoLevelCache::PollCrash(uint32_t shard) {
   // replica / recovery log during the window — not separately charged, the
   // recovery window is the modeled cost — so their stored images stay
   // consistent with their checksums.
-  s.cache.FlushDirty([&](uint64_t key) {
-    Result<uint8_t*> raw = disk_->RawPage(static_cast<uint16_t>(key >> 32),
-                                          static_cast<uint32_t>(key));
-    if (raw.ok()) StampPageChecksum(*raw);
-  });
+  s.cache.FlushDirty([this](uint64_t key) { RestampPage(key); });
   s.cache.Clear();
+}
+
+void TwoLevelCache::RestampPage(uint64_t key) {
+  Result<uint8_t*> raw = disk_->RawPage(static_cast<uint16_t>(key >> 32),
+                                        static_cast<uint32_t>(key));
+  if (raw.ok()) StampPageChecksum(*raw);
 }
 
 void TwoLevelCache::NoteFailover(uint32_t primary) {
@@ -121,8 +125,8 @@ void TwoLevelCache::NoteFailover(uint32_t primary) {
 }
 
 uint32_t TwoLevelCache::RouteRead(uint64_t key) {
-  // Classic configuration with no campaign armed: zero routing work.
-  if (placement_.single_server() && !sim_->faults().armed()) return 0;
+  // One disarmed server: PollCrash draws nothing and the shard is never
+  // down, so this returns shard 0 with zero charges.
   uint32_t primary = placement_.PrimaryShard(key);
   PollCrash(primary);
   if (!ShardDown(primary)) return primary;
@@ -161,8 +165,7 @@ Result<uint8_t*> TwoLevelCache::Ensure(uint16_t file_id, uint32_t page_id,
     sim_->ChargeClientCacheMiss();
     for (uint32_t round = 0;; ++round) {
       uint32_t serving = RouteRead(key);
-      Status st = RpcToServer(kPageSize, serving);
-      if (st.ok()) st = EnsureAtServer(key, serving);
+      Status st = TransferPage(Leg::kDemand, serving, key);
       if (st.ok()) break;
       // Another client's poll may have fired the crash between routing and
       // send; with a replica available, route again instead of failing.
@@ -171,12 +174,7 @@ Result<uint8_t*> TwoLevelCache::Ensure(uint16_t file_id, uint32_t page_id,
         return st;
       }
     }
-    LruPageCache::Evicted ev = client_->Insert(key);
-    if (ev.valid) {
-      sim_->ChargeClientCacheEviction();
-      NotePrefetchEviction(ev.key);
-    }
-    if (ev.valid && ev.dirty) TB_RETURN_IF_ERROR(WriteBackToServer(ev.key));
+    TB_RETURN_IF_ERROR(InsertAtClient(key, /*dirty=*/false));
   }
   if (for_write) {
     client_->MarkDirty(key);
@@ -185,10 +183,13 @@ Result<uint8_t*> TwoLevelCache::Ensure(uint16_t file_id, uint32_t page_id,
   return disk_->RawPage(file_id, page_id);
 }
 
-Status TwoLevelCache::RpcToServer(uint64_t bytes, uint32_t shard) {
+Status TwoLevelCache::Transfer(Leg leg, uint32_t shard,
+                               std::span<uint64_t>* pending, bool hand_back) {
+  // Page keys use the low 48 bits; the top bit marks a page whose kRpc draw
+  // failed in the current attempt.
+  constexpr uint64_t kFailed = 1ull << 63;
   const RetryPolicy& rp = config_.retry;
   Metrics& m = sim_->metrics();
-  sim_->set_active_shard(shard);
   double backoff = rp.initial_backoff_ns;
   for (uint32_t attempt = 0; attempt < rp.max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -197,23 +198,97 @@ Status TwoLevelCache::RpcToServer(uint64_t bytes, uint32_t shard) {
       m.retry_backoff_ns += static_cast<uint64_t>(wait);
       backoff *= rp.backoff_multiplier;
     }
+    const bool last = attempt + 1 == rp.max_attempts;
+    const uint64_t bytes = pending->size() * static_cast<uint64_t>(kPageSize);
+    // Serving a page may write a victim back to another shard.
+    sim_->set_active_shard(shard);
     if (ShardDown(shard)) {
-      // Blackholed: the request crosses the wire into a dead server. No
-      // station admission, no reply, one fault-ledger entry.
+      // The serving replica died under this request: hand the keys back
+      // for fresh routing (toward the backup) when the caller can, else the
+      // request crosses the wire into a dead server — no station admission,
+      // no reply, one fault-ledger entry.
+      if (hand_back) return Status::OK();
       sim_->faults().NoteForced(FaultSite::kServerBlackhole);
       sim_->ChargeRpcLost(bytes);
-      if (attempt + 1 < rp.max_attempts) ++m.rpc_retries;
+      if (!last) m.rpc_retries += pending->size();
       continue;
     }
-    bool failed =
-        sim_->faults().ShouldFail(FaultSite::kRpc, sim_->elapsed_ns());
-    // The attempt consumes wire time whether or not the reply arrives.
-    sim_->ChargeRpc(bytes);
-    if (!failed) return Status::OK();
-    if (attempt + 1 < rp.max_attempts) ++m.rpc_retries;
+    // Every page of the request draws its own transient-fault outcome — the
+    // same per-site sequence a loop of single fetches would consume — but
+    // the wire is charged once for the whole request.
+    for (uint64_t& key : *pending) {
+      if (sim_->faults().ShouldFail(FaultSite::kRpc, sim_->elapsed_ns())) {
+        key |= kFailed;
+      }
+    }
+    if (leg == Leg::kGroup) {
+      sim_->ChargeRpcBatch(pending->size(), bytes);
+    } else {
+      sim_->ChargeRpc(bytes);
+    }
+    // Serve the shipped pages in request order; the failed ones move to the
+    // front, in order, to be re-requested together.
+    size_t failed = 0;
+    for (uint64_t key : *pending) {
+      if ((key & kFailed) != 0) {
+        (*pending)[failed++] = key & ~kFailed;
+      } else {
+        TB_RETURN_IF_ERROR(Serve(leg, key, shard));
+      }
+    }
+    *pending = pending->first(failed);
+    if (failed == 0) return Status::OK();
+    if (!last) m.rpc_retries += failed;
   }
-  ++m.rpc_failures;
-  return Status::Unavailable("rpc to server failed after retries");
+  m.rpc_failures += pending->size();
+  return Status::Unavailable(leg == Leg::kGroup
+                                 ? "group rpc to server failed after retries"
+                                 : "rpc to server failed after retries");
+}
+
+Status TwoLevelCache::TransferPage(Leg leg, uint32_t shard, uint64_t key) {
+  std::span<uint64_t> pending(&key, 1);
+  return Transfer(leg, shard, &pending, /*hand_back=*/false);
+}
+
+Status TwoLevelCache::Serve(Leg leg, uint64_t key, uint32_t shard) {
+  switch (leg) {
+    case Leg::kDemand:
+      return EnsureAtServer(key, shard);
+    case Leg::kWriteBack: {
+      // The page becomes dirty in the shard's partition (written to disk on
+      // server-level eviction or flush).
+      LruPageCache& cache = shards_[shard]->cache;
+      if (cache.Touch(key)) {
+        cache.MarkDirty(key);
+        return Status::OK();
+      }
+      return InsertAtServer(key, shard, /*dirty=*/true);
+    }
+    case Leg::kGroup:
+      sim_->ChargeClientCacheMiss();
+      TB_RETURN_IF_ERROR(EnsureAtServer(key, shard));
+      TB_RETURN_IF_ERROR(InsertAtClient(key, /*dirty=*/false));
+      prefetched_.insert(key);
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
+Status TwoLevelCache::InsertAtClient(uint64_t key, bool dirty) {
+  LruPageCache::Evicted ev = client_->Insert(key, dirty);
+  if (!ev.valid) return Status::OK();
+  sim_->ChargeClientCacheEviction();
+  NotePrefetchEviction(ev.key);
+  return ev.dirty ? WriteBackToServer(ev.key) : Status::OK();
+}
+
+Status TwoLevelCache::InsertAtServer(uint64_t key, uint32_t shard,
+                                     bool dirty) {
+  LruPageCache::Evicted ev = shards_[shard]->cache.Insert(key, dirty);
+  if (!ev.valid) return Status::OK();
+  sim_->ChargeServerCacheEviction();
+  return ev.dirty ? WriteToDisk(ev.key, shard) : Status::OK();
 }
 
 Status TwoLevelCache::EnsureAtServer(uint64_t key, uint32_t shard) {
@@ -245,53 +320,35 @@ Status TwoLevelCache::EnsureAtServer(uint64_t key, uint32_t shard) {
                               std::to_string(file_id) + " page " +
                               std::to_string(page_id) + ")");
   }
-  LruPageCache::Evicted ev = cache.Insert(key);
-  if (ev.valid) sim_->ChargeServerCacheEviction();
-  if (ev.valid && ev.dirty) TB_RETURN_IF_ERROR(WriteToDisk(ev.key, shard));
-  return Status::OK();
-}
-
-Status TwoLevelCache::ShipWriteTo(uint64_t key, uint32_t shard) {
-  // One RPC down; the page becomes dirty in the shard's partition (written
-  // to disk on server-level eviction or flush).
-  TB_RETURN_IF_ERROR(RpcToServer(kPageSize, shard));
-  LruPageCache& cache = shards_[shard]->cache;
-  if (!cache.Touch(key)) {
-    LruPageCache::Evicted ev = cache.Insert(key, /*dirty=*/true);
-    if (ev.valid) sim_->ChargeServerCacheEviction();
-    if (ev.valid && ev.dirty) TB_RETURN_IF_ERROR(WriteToDisk(ev.key, shard));
-  } else {
-    cache.MarkDirty(key);
-  }
-  return Status::OK();
+  return InsertAtServer(key, shard, /*dirty=*/false);
 }
 
 Status TwoLevelCache::WriteBackToServer(uint64_t key) {
   // Every dirty client page shipped down — eviction victim or flush — is
   // one unit of page-level write amplification.
   sim_->ChargeDirtyWriteback();
-  if (placement_.single_server() && !sim_->faults().armed()) {
-    return ShipWriteTo(key, 0);
-  }
+  auto ship = [&](uint32_t shard) {
+    return TransferPage(Leg::kWriteBack, shard, key);
+  };
   uint32_t primary = placement_.PrimaryShard(key);
   PollCrash(primary);
   if (!placement_.replication()) {
     // Dead primary, no replica: the ship blackholes and surfaces
     // kUnavailable after retries, like any other access to a down shard.
-    return ShipWriteTo(key, primary);
+    return ship(primary);
   }
   uint32_t backup = placement_.BackupShard(primary);
   PollCrash(backup);
   bool primary_up = !ShardDown(primary);
   bool backup_up = !ShardDown(backup);
-  if (!primary_up && !backup_up) return ShipWriteTo(key, primary);
+  if (!primary_up && !backup_up) return ship(primary);
   if (primary_up) {
-    TB_RETURN_IF_ERROR(ShipWriteTo(key, primary));
+    TB_RETURN_IF_ERROR(ship(primary));
   } else {
     NoteFailover(primary);
   }
   if (backup_up) {
-    TB_RETURN_IF_ERROR(ShipWriteTo(key, backup));
+    TB_RETURN_IF_ERROR(ship(backup));
     ++sim_->metrics().replica_writes;
   } else {
     // The backup's copy is rebuilt during its recovery window; the skipped
@@ -330,102 +387,16 @@ Status TwoLevelCache::WriteToDisk(uint64_t key, uint32_t shard) {
 Result<std::pair<uint32_t, uint8_t*>> TwoLevelCache::NewPage(
     uint16_t file_id) {
   uint32_t page_id = disk_->AllocatePage(file_id);
-  uint64_t key = Key(file_id, page_id);
-  LruPageCache::Evicted ev = client_->Insert(key, /*dirty=*/true);
-  if (ev.valid) {
-    sim_->ChargeClientCacheEviction();
-    NotePrefetchEviction(ev.key);
-  }
-  if (ev.valid && ev.dirty) TB_RETURN_IF_ERROR(WriteBackToServer(ev.key));
+  TB_RETURN_IF_ERROR(InsertAtClient(Key(file_id, page_id), /*dirty=*/true));
   TB_ASSIGN_OR_RETURN(uint8_t* raw, disk_->RawPage(file_id, page_id));
   return std::pair<uint32_t, uint8_t*>(page_id, raw);
-}
-
-Status TwoLevelCache::FetchShardBatch(uint32_t shard,
-                                      std::vector<uint64_t> pending,
-                                      bool allow_reroute,
-                                      std::vector<uint64_t>* reroute) {
-  const RetryPolicy& rp = config_.retry;
-  Metrics& m = sim_->metrics();
-  double backoff = rp.initial_backoff_ns;
-  for (uint32_t attempt = 0; attempt < rp.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      double wait = std::min(backoff, rp.max_backoff_ns);
-      sim_->Charge(wait);
-      m.retry_backoff_ns += static_cast<uint64_t>(wait);
-      backoff *= rp.backoff_multiplier;
-    }
-    if (ShardDown(shard)) {
-      if (allow_reroute) {
-        // The serving replica died under this batch; hand the keys back for
-        // fresh routing (toward the backup) instead of burning attempts
-        // against a blackhole.
-        reroute->insert(reroute->end(), pending.begin(), pending.end());
-        return Status::OK();
-      }
-      sim_->faults().NoteForced(FaultSite::kServerBlackhole);
-      sim_->set_active_shard(shard);
-      sim_->ChargeRpcLost(pending.size() *
-                          static_cast<uint64_t>(kPageSize));
-      if (attempt + 1 < rp.max_attempts) m.rpc_retries += pending.size();
-      continue;
-    }
-    // Every page of the group request draws its own transient-fault
-    // outcome — the same per-site sequence a loop of single fetches would
-    // consume — but the wire is charged once for the whole request.
-    std::vector<uint64_t> shipped;
-    std::vector<uint64_t> failed;
-    shipped.reserve(pending.size());
-    for (uint64_t key : pending) {
-      if (sim_->faults().ShouldFail(FaultSite::kRpc, sim_->elapsed_ns())) {
-        failed.push_back(key);
-      } else {
-        shipped.push_back(key);
-      }
-    }
-    sim_->set_active_shard(shard);
-    sim_->ChargeRpcBatch(pending.size(),
-                         pending.size() * static_cast<uint64_t>(kPageSize));
-    for (uint64_t key : shipped) {
-      sim_->ChargeClientCacheMiss();
-      TB_RETURN_IF_ERROR(EnsureAtServer(key, shard));
-      LruPageCache::Evicted ev = client_->Insert(key);
-      if (ev.valid) {
-        sim_->ChargeClientCacheEviction();
-        NotePrefetchEviction(ev.key);
-      }
-      if (ev.valid && ev.dirty) TB_RETURN_IF_ERROR(WriteBackToServer(ev.key));
-      prefetched_.insert(key);
-    }
-    if (failed.empty()) return Status::OK();
-    if (attempt + 1 < rp.max_attempts) m.rpc_retries += failed.size();
-    pending = std::move(failed);
-  }
-  m.rpc_failures += pending.size();
-  return Status::Unavailable("group rpc to server failed after retries");
 }
 
 Status TwoLevelCache::FetchPages(std::span<const uint64_t> keys) {
   // Pages already resident need no fetch; Contains is a costless peek (no
   // LRU promotion), so the later demand access still pays its normal hit.
-  std::vector<uint64_t> pending;
-  pending.reserve(keys.size());
-  {
-    std::unordered_set<uint64_t> seen;
-    seen.reserve(keys.size());
-    for (uint64_t key : keys) {
-      if (client_->Contains(key)) continue;
-      if (seen.insert(key).second) pending.push_back(key);
-    }
-  }
-  if (pending.empty()) return Status::OK();
-
-  if (placement_.single_server() && !sim_->faults().armed()) {
-    std::vector<uint64_t> unused;
-    return FetchShardBatch(0, std::move(pending), /*allow_reroute=*/false,
-                           &unused);
-  }
-
+  std::vector<uint64_t> pending = DedupFirstTouch(keys);
+  std::erase_if(pending, [&](uint64_t key) { return client_->Contains(key); });
   // Split the batch per serving shard — a group RPC is one wire message to
   // ONE server. Groups are ordered by first appearance in `pending`, so the
   // charge sequence is a pure function of the key order.
@@ -436,21 +407,32 @@ Status TwoLevelCache::FetchPages(std::span<const uint64_t> keys) {
       auto it = std::find_if(
           groups.begin(), groups.end(),
           [serving](const auto& g) { return g.first == serving; });
-      if (it == groups.end()) {
-        groups.emplace_back(serving, std::vector<uint64_t>{key});
-      } else {
-        it->second.push_back(key);
-      }
+      if (it == groups.end()) it = groups.insert(it, {serving, {}});
+      it->second.push_back(key);
     }
     pending.clear();
-    bool allow_reroute =
-        placement_.replication() && round < kMaxRerouteRounds;
+    // A group whose shard dies mid-request hands its unshipped keys back
+    // for the next round instead of burning attempts against a blackhole.
+    bool hand_back = placement_.replication() && round < kMaxRerouteRounds;
     for (auto& [shard, group_keys] : groups) {
-      TB_RETURN_IF_ERROR(FetchShardBatch(shard, std::move(group_keys),
-                                         allow_reroute, &pending));
+      std::span<uint64_t> left(group_keys);
+      TB_RETURN_IF_ERROR(Transfer(Leg::kGroup, shard, &left, hand_back));
+      pending.insert(pending.end(), left.begin(), left.end());
     }
   }
   return Status::OK();
+}
+
+Status TwoLevelCache::ReadAhead(uint16_t file_id, uint32_t page_id,
+                                uint32_t* frontier) {
+  const uint32_t window = ReadaheadWindow();
+  if (window <= 1 || page_id < *frontier) return Status::OK();
+  const uint32_t end = std::min(disk_->NumPages(file_id), page_id + window);
+  std::vector<uint64_t> keys;
+  keys.reserve(end - page_id);
+  for (uint32_t p = page_id; p < end; ++p) keys.push_back(Key(file_id, p));
+  *frontier = end;
+  return FetchPages(keys);
 }
 
 void TwoLevelCache::DiscardKeys(std::span<const uint64_t> keys) {
@@ -500,11 +482,7 @@ void TwoLevelCache::DropAll() {
   // their checksum trailers or the next fill reports phantom corruption.
   // Like the crash path above, the restamp is free: a cold restart is a
   // modeling construct, not a measured I/O sequence.
-  auto restamp = [&](uint64_t key) {
-    Result<uint8_t*> raw = disk_->RawPage(static_cast<uint16_t>(key >> 32),
-                                          static_cast<uint32_t>(key));
-    if (raw.ok()) StampPageChecksum(*raw);
-  };
+  auto restamp = [this](uint64_t key) { RestampPage(key); };
   client_->FlushDirty(restamp);
   for (auto& s : shards_) s->cache.FlushDirty(restamp);
   client_->Clear();

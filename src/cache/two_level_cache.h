@@ -1,6 +1,7 @@
 #ifndef TREEBENCH_CACHE_TWO_LEVEL_CACHE_H_
 #define TREEBENCH_CACHE_TWO_LEVEL_CACHE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -77,11 +78,14 @@ struct CacheConfig {
 /// backup — with a charged detection + reconnect penalty, once per client
 /// per crash — while the primary sits inside a FaultSite::kServerCrash
 /// recovery window. The default placement (one server, no replication) is
-/// bit-for-bit the classic single-server engine.
+/// bit-for-bit the classic single-server engine by construction: routing
+/// to its one shard polls no crash and charges nothing while the fault
+/// injector is disarmed, so no code path special-cases it.
 ///
 /// This is also the engine's fault boundary (see docs/fault_model.md):
-///  - every client->server RPC runs under the RetryPolicy and can fail
-///    transiently (FaultSite::kRpc);
+///  - every client->server page transfer (demand miss, dirty write-back,
+///    group fetch) runs through one RetryPolicy loop, Transfer, and every
+///    page of it can fail transiently (FaultSite::kRpc);
 ///  - every server-level disk read verifies the page checksum and can fail
 ///    (FaultSite::kDiskRead) or detect corruption (kCorruption);
 ///  - every server-level disk write stamps the checksum and can fail
@@ -135,8 +139,27 @@ class TwoLevelCache {
   /// of a group request draws its own FaultSite::kRpc outcome, failed
   /// pages are re-requested together after backoff, and exhaustion counts
   /// one rpc_failure per abandoned page. Callers are expected to keep each
-  /// batch within CostModel::max_fetch_batch_pages.
+  /// batch within ReadaheadWindow().
   Status FetchPages(std::span<const uint64_t> keys);
+
+  /// True when the cost model allows group RPCs (batch size > 1).
+  bool BatchingEnabled() const {
+    return sim_->model().max_fetch_batch_pages > 1;
+  }
+
+  /// The most pages one readahead window may bring in: the batch size, but
+  /// at most half the client level, so that a window stays resident until
+  /// the scan reaches it. 1 means no readahead.
+  uint32_t ReadaheadWindow() const {
+    return std::min(sim_->model().max_fetch_batch_pages,
+                    std::max<uint32_t>(1, ClientCacheCapacity() / 2));
+  }
+
+  /// Sequential readahead for a scan about to read page `page_id` of
+  /// `file_id`: from `*frontier` on, fetches the next window of the file in
+  /// one FetchPages call and moves the frontier past it. A no-op while the
+  /// window is 1.
+  Status ReadAhead(uint16_t file_id, uint32_t page_id, uint32_t* frontier);
 
   /// True if the page is resident at the client level (no cost).
   bool InClientCache(uint16_t file_id, uint32_t page_id) const {
@@ -316,18 +339,40 @@ class TwoLevelCache {
   /// replica); the RPC to it then blackholes and surfaces kUnavailable.
   uint32_t RouteRead(uint64_t key);
 
-  /// One client->server RPC of `bytes` to `shard`, under the retry policy.
-  /// Attempts made while the shard is inside a crash window are blackholed:
-  /// wire time is spent, no station admission happens, and the attempt
-  /// counts as a retry (FaultSite::kServerBlackhole in the fault ledger).
-  Status RpcToServer(uint64_t bytes, uint32_t shard);
+  /// What a page transfer does with each page the server accepted.
+  enum class Leg : uint8_t {
+    kDemand,     // client-cache miss: materialize the page at the shard
+    kWriteBack,  // dirty client page: it lands dirty in the shard
+    kGroup,      // FetchPages group: materialize, then insert at the client
+                 // level with a readahead mark
+  };
+
+  /// The one client->server page transfer, under the RetryPolicy: each
+  /// attempt draws one FaultSite::kRpc outcome per pending page, charges
+  /// one wire message (ChargeRpcBatch for kGroup, else ChargeRpc), serves
+  /// the accepted pages in order and keeps the failed ones in `*pending`
+  /// for the next attempt. While `shard` is inside a crash window an
+  /// attempt is blackholed (wire spent, no admission, a kServerBlackhole
+  /// ledger entry, a retry per page) — or, with `hand_back`, the transfer
+  /// returns OK with the unshipped keys left in `*pending` for rerouting.
+  /// Exhaustion counts one rpc_failure per abandoned page: kUnavailable.
+  Status Transfer(Leg leg, uint32_t shard, std::span<uint64_t>* pending,
+                  bool hand_back);
+  Status TransferPage(Leg leg, uint32_t shard, uint64_t key);
+  Status Serve(Leg leg, uint64_t key, uint32_t shard);
 
   /// Brings a page into `shard`'s cache partition (disk read if absent);
   /// handles server-level eviction write-back.
   Status EnsureAtServer(uint64_t key, uint32_t shard);
 
-  /// Ships one dirty page down to `shard`'s partition (RPC + dirty insert).
-  Status ShipWriteTo(uint64_t key, uint32_t shard);
+  /// Inserts `key` into the client level / `shard`'s partition, charging
+  /// the eviction it causes and writing a dirty victim one level down.
+  Status InsertAtClient(uint64_t key, bool dirty);
+  Status InsertAtServer(uint64_t key, uint32_t shard, bool dirty);
+
+  /// Re-stamps a page's checksum trailer for free: a dropped cache level
+  /// forgets its dirty bits, but the stored image must stay coherent.
+  void RestampPage(uint64_t key);
 
   /// Ships an evicted dirty client page down to the server level: to the
   /// page's primary shard, plus — replication on — its backup (the
@@ -339,15 +384,6 @@ class TwoLevelCache {
   /// Writes one page of `shard`'s partition to disk: stamps the checksum,
   /// charges the write, and applies injected write faults / corruption.
   Status WriteToDisk(uint64_t key, uint32_t shard);
-
-  /// The per-shard leg of FetchPages: one group RPC (+ retries) for the
-  /// keys of one shard. If the shard dies mid-loop and `allow_reroute` is
-  /// set, the not-yet-shipped keys are handed back via `reroute` for the
-  /// caller to route again (toward the backup) instead of burning attempts
-  /// against a blackhole.
-  Status FetchShardBatch(uint32_t shard, std::vector<uint64_t> pending,
-                         bool allow_reroute,
-                         std::vector<uint64_t>* reroute);
 
   void RebuildShards(uint32_t num_servers);
 

@@ -1,8 +1,5 @@
 #include "src/catalog/collection.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "src/common/byte_io.h"
 #include "src/common/logging.h"
 
@@ -110,29 +107,12 @@ PersistentCollection::Iterator::Iterator(PersistentCollection* col)
   Load();
 }
 
-Status PersistentCollection::Iterator::MaybePrefetch(uint32_t data_page) {
-  TwoLevelCache* cache = col_->cache_;
-  uint32_t batch = cache->sim()->model().max_fetch_batch_pages;
-  if (batch <= 1 || data_page < prefetch_frontier_) return Status::OK();
-  batch = std::min(batch,
-                   std::max<uint32_t>(1, cache->ClientCacheCapacity() / 2));
-  if (batch <= 1) return Status::OK();
-  uint32_t last = col_->DataPages();  // data pages are 1..DataPages()
-  uint32_t end = std::min(last + 1, data_page + batch);
-  std::vector<uint64_t> keys;
-  keys.reserve(end - data_page);
-  for (uint32_t p = data_page; p < end; ++p) {
-    keys.push_back(TwoLevelCache::PageKey(col_->file_id_, p));
-  }
-  prefetch_frontier_ = end;
-  return cache->FetchPages(keys);
-}
-
 void PersistentCollection::Iterator::Load() {
   if (index_ >= count_) return;
   uint32_t page_index = static_cast<uint32_t>(index_ / kRidsPerPage);
   uint32_t offset = static_cast<uint32_t>(index_ % kRidsPerPage);
-  status_ = MaybePrefetch(page_index + 1);
+  status_ = col_->cache_->ReadAhead(col_->file_id_, page_index + 1,
+                                    &prefetch_frontier_);
   if (!status_.ok()) return;
   Result<const uint8_t*> data =
       col_->cache_->GetPage(col_->file_id_, page_index + 1);

@@ -67,13 +67,12 @@ class PersistentCollection {
 
    private:
     void Load();
-    /// Sequential readahead over the Rid pages when group RPCs are enabled
-    /// (docs/fetch_batching.md). A no-op at batch size 1.
-    Status MaybePrefetch(uint32_t data_page);
 
     PersistentCollection* col_;
     uint64_t index_ = 0;
     uint64_t count_ = 0;
+    /// First Rid page not yet covered by sequential readahead
+    /// (TwoLevelCache::ReadAhead, docs/fetch_batching.md).
     uint32_t prefetch_frontier_ = 0;
     Status status_;
     Rid rid_;

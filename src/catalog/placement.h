@@ -41,9 +41,12 @@ struct PlacementOptions {
                          const PlacementOptions&) = default;
 };
 
-/// Catalog-driven page -> shard map consulted on every TwoLevelCache access.
-/// Pure function of (options, page key): no state, no charges, deterministic
-/// on every platform.
+/// Catalog-driven page -> shard map consulted on every TwoLevelCache access,
+/// the default one-server map included: the cache has no single-server
+/// shortcut, because routing to shard 0 of one disarmed, unreplicated server
+/// already charges nothing (docs/replication_model.md). Pure function of
+/// (options, page key): no state, no charges, deterministic on every
+/// platform.
 class PlacementMap {
  public:
   explicit PlacementMap(PlacementOptions opts = PlacementOptions{})
@@ -54,11 +57,6 @@ class PlacementMap {
   const PlacementOptions& options() const { return opts_; }
   uint32_t num_servers() const { return opts_.num_servers; }
   bool replication() const { return opts_.replication; }
-  /// True for the classic configuration: every page on shard 0, nothing
-  /// replicated. The cache's fast path tests exactly this.
-  bool single_server() const {
-    return opts_.num_servers <= 1 && !opts_.replication;
-  }
 
   /// The shard owning (serving reads for) a page key, as produced by
   /// TwoLevelCache::PageKey.

@@ -148,48 +148,23 @@ class SimContext {
     ++clock_->metrics.disk_writes;
     clock_->clock_ns += model_.disk_write_page_ns;
   }
-  void ChargeRpc(uint64_t bytes) {
-    ++clock_->metrics.rpc_count;
-    clock_->metrics.rpc_bytes += bytes;
-    if (ServerStation* s = station(); s != nullptr) {
-      double wait = s->Admit(clock_->clock_ns);
-      if (wait > 0) {
-        clock_->clock_ns += wait;
-        clock_->metrics.rpc_queue_wait_ns += static_cast<uint64_t>(wait);
-      }
-    }
-    clock_->clock_ns += model_.rpc_latency_ns +
-                        model_.rpc_per_byte_ns * static_cast<double>(bytes);
-  }
+  /// One RPC of `bytes` that the server admits: a station admission (any
+  /// queueing delay is charged as rpc_queue_wait_ns), then the wire.
+  void ChargeRpc(uint64_t bytes) { ChargeWire(bytes, /*admitted=*/true); }
   /// An RPC swallowed by a crashed server (docs/replication_model.md): the
   /// request goes out on the wire — latency + shipping are spent — but the
   /// dead server never admits it to a service station, so no queue wait and
   /// no busy time accrue anywhere. The caller decides what the lost message
   /// costs beyond the wire (timeout, retry, failover).
-  void ChargeRpcLost(uint64_t bytes) {
-    ++clock_->metrics.rpc_count;
-    clock_->metrics.rpc_bytes += bytes;
-    clock_->clock_ns += model_.rpc_latency_ns +
-                        model_.rpc_per_byte_ns * static_cast<double>(bytes);
-  }
+  void ChargeRpcLost(uint64_t bytes) { ChargeWire(bytes, /*admitted=*/false); }
   /// One *group* RPC shipping `pages` pages (`bytes` total) in a single
   /// round trip: one latency charge, one station admission, per-byte
   /// shipping for the whole batch. Counts once in rpc_count — a group RPC
   /// is still one wire message — plus the batching counters.
   void ChargeRpcBatch(uint64_t pages, uint64_t bytes) {
-    ++clock_->metrics.rpc_count;
     ++clock_->metrics.batched_rpcs;
     clock_->metrics.pages_per_batch += pages;
-    clock_->metrics.rpc_bytes += bytes;
-    if (ServerStation* s = station(); s != nullptr) {
-      double wait = s->Admit(clock_->clock_ns);
-      if (wait > 0) {
-        clock_->clock_ns += wait;
-        clock_->metrics.rpc_queue_wait_ns += static_cast<uint64_t>(wait);
-      }
-    }
-    clock_->clock_ns += model_.rpc_latency_ns +
-                        model_.rpc_per_byte_ns * static_cast<double>(bytes);
+    ChargeWire(bytes, /*admitted=*/true);
   }
 
   // ---- Cache events ----
@@ -459,6 +434,22 @@ class SimContext {
   void TouchTransient();
 
  private:
+  /// The body every RPC charge shares: one wire message of `bytes`, after
+  /// the active shard's station admission when the server `admitted` it.
+  void ChargeWire(uint64_t bytes, bool admitted) {
+    ++clock_->metrics.rpc_count;
+    clock_->metrics.rpc_bytes += bytes;
+    if (ServerStation* s = admitted ? station() : nullptr; s != nullptr) {
+      double wait = s->Admit(clock_->clock_ns);
+      if (wait > 0) {
+        clock_->clock_ns += wait;
+        clock_->metrics.rpc_queue_wait_ns += static_cast<uint64_t>(wait);
+      }
+    }
+    clock_->clock_ns += model_.rpc_latency_ns +
+                        model_.rpc_per_byte_ns * static_cast<double>(bytes);
+  }
+
   CostModel model_;
   FaultInjector faults_;
   TraceCollector* trace_ = nullptr;

@@ -20,9 +20,7 @@ Status ForEachSelected(Database* db, const std::string& collection,
     // Standard scan: handle + predicate per member. The span includes the
     // consumer's work (fn runs interleaved with the scan).
     MetricScope scope(&sim, "scan(" + collection + ")");
-    PersistentCollection* col = nullptr;
-    TB_ASSIGN_OR_RETURN(col, db->GetCollection(collection));
-    auto body = [&](const Rid& rid) -> Status {
+    return ScanCollection(db, collection, [&](const Rid& rid) -> Status {
       ObjectHandle* h = nullptr;
       TB_ASSIGN_OR_RETURN(h, store.Get(rid));
       int32_t v = 0;
@@ -35,22 +33,7 @@ Status ForEachSelected(Database* db, const std::string& collection,
         return fn(rid);
       }
       return Status::OK();
-    };
-    if (BatchedFetchEnabled(db)) {
-      // Vectored variant: enumerate members first, then deliver through
-      // the group-RPC window. Same accesses, grouped wire trips.
-      std::vector<Rid> members;
-      auto it = col->Scan();
-      for (; it.Valid(); it.Next()) members.push_back(it.rid());
-      TB_RETURN_IF_ERROR(it.status());
-      return DeliverRidsBatched(db, members,
-                                CollectionBatchPolicy(db, collection), body);
-    }
-    auto it = col->Scan();
-    for (; it.Valid(); it.Next()) {
-      TB_RETURN_IF_ERROR(body(it.rid()));
-    }
-    return it.status();
+    });
   }
 
   bool sorted_fetch = order == FetchOrder::kRidSorted ||
@@ -58,7 +41,7 @@ Status ForEachSelected(Database* db, const std::string& collection,
   if (!sorted_fetch) {
     // Key-order index scan; fn runs per qualifying rid inside the span.
     MetricScope scope(&sim, "index_scan(" + collection + ")");
-    if (BatchedFetchEnabled(db)) {
+    if (db->cache().BatchingEnabled()) {
       std::vector<Rid> rids;
       auto it = idx->tree->Scan(lo, hi);
       for (; it.Valid(); it.Next()) rids.push_back(it.rid());
@@ -102,16 +85,10 @@ Status ForEachSelected(Database* db, const std::string& collection,
   }
   MetricScope scope(&sim, "fetch_sorted(" + collection + ")");
   scope.AddRows(rids.size());
-  if (BatchedFetchEnabled(db)) {
-    // Already rid-sorted, but the pages are still scattered: kRidSorted
-    // groups a full window per RPC where run detection would degrade to
-    // singleton requests.
-    return DeliverRidsBatched(db, rids, BatchPolicy::kRidSorted, fn);
-  }
-  for (const Rid& rid : rids) {
-    TB_RETURN_IF_ERROR(fn(rid));
-  }
-  return Status::OK();
+  // Already rid-sorted, but the pages are still scattered: kRidSorted
+  // groups a full window per RPC where run detection would degrade to
+  // singleton requests.
+  return DeliverRidsBatched(db, rids, BatchPolicy::kRidSorted, fn);
 }
 
 }  // namespace treebench

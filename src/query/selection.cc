@@ -1,7 +1,5 @@
 #include "src/query/selection.h"
 
-#include <vector>
-
 #include "src/cost/trace.h"
 #include "src/query/index_fetch.h"
 #include "src/query/vectored_fetch.h"
@@ -50,39 +48,23 @@ Result<QueryRunStats> RunSelection(Database* db, const SelectionSpec& spec) {
         // Evaluate the predicate object by object (no index, even if one
         // exists): the Figure 8 standard scan.
         MetricScope scan_scope(&sim, "scan(" + spec.collection + ")");
-        PersistentCollection* col = nullptr;
-        TB_ASSIGN_OR_RETURN(col, db->GetCollection(spec.collection));
-        auto body = [&](const Rid& rid) -> Status {
-          ObjectHandle* h = nullptr;
-          TB_ASSIGN_OR_RETURN(h, store.Get(rid));
-          int32_t v = 0;
-          TB_ASSIGN_OR_RETURN(v, store.GetInt32(h, spec.key_attr));
-          sim.ChargeCompare();
-          if (v >= spec.lo && v < spec.hi) {
-            int32_t proj = 0;
-            TB_ASSIGN_OR_RETURN(proj, store.GetInt32(h, spec.proj_attr));
-            (void)proj;
-            result.AddSetElement();
-            scan_scope.AddRows(1);
-          }
-          store.Unref(h);
-          return Status::OK();
-        };
-        if (BatchedFetchEnabled(db)) {
-          std::vector<Rid> members;
-          auto it = col->Scan();
-          for (; it.Valid(); it.Next()) members.push_back(it.rid());
-          TB_RETURN_IF_ERROR(it.status());
-          TB_RETURN_IF_ERROR(DeliverRidsBatched(
-              db, members, CollectionBatchPolicy(db, spec.collection),
-              body));
-          break;
-        }
-        auto it = col->Scan();
-        for (; it.Valid(); it.Next()) {
-          TB_RETURN_IF_ERROR(body(it.rid()));
-        }
-        TB_RETURN_IF_ERROR(it.status());
+        TB_RETURN_IF_ERROR(ScanCollection(
+            db, spec.collection, [&](const Rid& rid) -> Status {
+              ObjectHandle* h = nullptr;
+              TB_ASSIGN_OR_RETURN(h, store.Get(rid));
+              int32_t v = 0;
+              TB_ASSIGN_OR_RETURN(v, store.GetInt32(h, spec.key_attr));
+              sim.ChargeCompare();
+              if (v >= spec.lo && v < spec.hi) {
+                int32_t proj = 0;
+                TB_ASSIGN_OR_RETURN(proj, store.GetInt32(h, spec.proj_attr));
+                (void)proj;
+                result.AddSetElement();
+                scan_scope.AddRows(1);
+              }
+              store.Unref(h);
+              return Status::OK();
+            }));
         break;
       }
       case SelectionMode::kIndexScan:

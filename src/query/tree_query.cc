@@ -90,12 +90,8 @@ Status RunNL(Database* db, const TreeQuerySpec& spec,
           store.Unref(ch);
           return Status::OK();
         };
-        if (BatchedFetchEnabled(db) && kids.size() > 1) {
-          TB_RETURN_IF_ERROR(
-              DeliverRidsBatched(db, kids, RefSetBatchPolicy(db), kid_body));
-        } else {
-          for (const Rid& kid : kids) TB_RETURN_IF_ERROR(kid_body(kid));
-        }
+        TB_RETURN_IF_ERROR(
+            DeliverRidsBatched(db, kids, RefSetBatchPolicy(db), kid_body));
         store.Unref(ph);
         return Status::OK();
       });

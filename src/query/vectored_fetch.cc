@@ -30,25 +30,16 @@ BatchPolicy RefSetBatchPolicy(Database* db) {
   return BatchPolicy::kRidSorted;
 }
 
-Status DeliverRidsBatched(Database* db, std::span<const Rid> rids,
-                          BatchPolicy policy,
-                          const std::function<Status(const Rid&)>& fn) {
+Status DeliverRidsWindowed(Database* db, std::span<const Rid> rids,
+                           BatchPolicy policy, size_t cap,
+                           const std::function<Status(const Rid&)>& fn) {
   TwoLevelCache& cache = db->cache();
   ObjectStore& store = db->store();
 
-  // The window never holds more distinct pages than half the client cache:
-  // a window's prefetched pages must all stay resident until delivered, or
+  // A window's prefetched pages must all stay resident until delivered, or
   // the readahead would evict itself and the exactness guarantees
-  // (identical disk reads, monotonically fewer RPCs) would not hold.
-  uint64_t cap64 = std::min<uint64_t>(
-      db->sim().model().max_fetch_batch_pages,
-      std::max<uint64_t>(1, cache.ClientCacheCapacity() / 2));
-  size_t cap = static_cast<size_t>(cap64);
-  if (cap <= 1 || rids.size() <= 1) {
-    for (const Rid& rid : rids) TB_RETURN_IF_ERROR(fn(rid));
-    return Status::OK();
-  }
-
+  // (identical disk reads, monotonically fewer RPCs) would not hold; `cap`
+  // is TwoLevelCache::ReadaheadWindow(), which sizes the window for that.
   MetricScope scope(&db->sim(), "vectored_fetch");
   std::vector<uint64_t> window_keys;
   window_keys.reserve(cap);

@@ -1,8 +1,5 @@
 #include "src/storage/record_file.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "src/common/logging.h"
 
 namespace treebench {
@@ -81,30 +78,12 @@ RecordFile::Iterator::Iterator(RecordFile* file, uint32_t start_page)
 
 void RecordFile::Iterator::Next() { Advance(/*first=*/false); }
 
-Status RecordFile::Iterator::MaybePrefetch() {
-  TwoLevelCache* cache = file_->cache_;
-  uint32_t batch = cache->sim()->model().max_fetch_batch_pages;
-  if (batch <= 1 || page_id_ < prefetch_frontier_) return Status::OK();
-  // Never prefetch more than half the client cache: the window must stay
-  // resident until the scan reaches it.
-  batch = std::min(batch,
-                   std::max<uint32_t>(1, cache->ClientCacheCapacity() / 2));
-  if (batch <= 1) return Status::OK();
-  uint32_t end = std::min(file_->NumPages(), page_id_ + batch);
-  std::vector<uint64_t> keys;
-  keys.reserve(end - page_id_);
-  for (uint32_t p = page_id_; p < end; ++p) {
-    keys.push_back(TwoLevelCache::PageKey(file_->file_id_, p));
-  }
-  prefetch_frontier_ = end;
-  return cache->FetchPages(keys);
-}
-
 void RecordFile::Iterator::Advance(bool first) {
   (void)first;
   valid_ = false;
   while (page_id_ < file_->NumPages()) {
-    status_ = MaybePrefetch();
+    status_ = file_->cache_->ReadAhead(file_->file_id_, page_id_,
+                                       &prefetch_frontier_);
     if (!status_.ok()) return;
     Result<const uint8_t*> got =
         file_->cache_->GetPage(file_->file_id_, page_id_);

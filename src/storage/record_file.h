@@ -71,14 +71,12 @@ class RecordFile {
 
    private:
     void Advance(bool first);
-    /// Sequential readahead (docs/fetch_batching.md): when group RPCs are
-    /// enabled, pulls the next max_fetch_batch_pages pages in one vectored
-    /// fetch as the scan crosses the frontier. A no-op at batch size 1.
-    Status MaybePrefetch();
 
     RecordFile* file_;
     uint32_t page_id_;
     int32_t slot_;  // current slot within page (-1 before first)
+    /// First page not yet covered by sequential readahead
+    /// (TwoLevelCache::ReadAhead, docs/fetch_batching.md).
     uint32_t prefetch_frontier_ = 0;
     bool valid_ = false;
     Status status_;

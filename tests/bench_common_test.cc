@@ -96,6 +96,15 @@ TEST(BenchArgsTest, UintFlagReadsTheLastOccurrence) {
   EXPECT_EQ(Uint(args, "--queries="), 3u);
   EXPECT_EQ(Uint(args, "--servers="), 0u);
   EXPECT_EQ(Uint(args, "--jobs="), 0u);
+
+  // Only a plain decimal in [1, 2^32-1] counts; anything else is absent.
+  EXPECT_EQ(Uint({"--clients=-1"}, "--clients="), 0u);
+  EXPECT_EQ(Uint({"--clients=4294967296"}, "--clients="), 0u);
+  EXPECT_EQ(Uint({"--clients=12abc"}, "--clients="), 0u);
+  EXPECT_EQ(Uint({"--clients="}, "--clients="), 0u);
+  EXPECT_EQ(Uint({"--clients=0"}, "--clients="), 0u);
+  EXPECT_EQ(Uint({"--clients=4294967295"}, "--clients="), 4294967295u);
+  EXPECT_EQ(Uint({"--clients=7", "--clients=-1"}, "--clients="), 7u);
 }
 
 // The last --jobs=N with 1 <= N <= 1023 wins; anything else falls through

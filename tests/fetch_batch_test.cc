@@ -234,6 +234,75 @@ TEST_F(FetchBatchCacheTest, ExhaustionAbandonsEveryPendingPage) {
   EXPECT_TRUE(cache_->FetchPages(Keys({0, 1, 2})).ok());
 }
 
+TEST_F(FetchBatchCacheTest, DemandMissAndOnePageGroupShareTheRetryLoop) {
+  // A demand miss and a group fetch run through one RetryPolicy loop, so
+  // under the same scheduled kRpc fault a one-page FetchPages charges what
+  // a demand GetPage charges. Each transfer starts from a zeroed clock.
+  auto faulted = [&](uint32_t count, auto transfer) {
+    sim_.ResetClock();
+    sim_.faults().Arm(7);
+    ScheduledFault fault;
+    fault.site = FaultSite::kRpc;
+    fault.count = count;
+    sim_.faults().Schedule(fault);
+    Status s = transfer();
+    sim_.faults().Disarm();
+    return std::make_tuple(s, sim_.metrics(), sim_.elapsed_ns());
+  };
+  auto demand = [&](uint32_t page) {
+    return [this, page] { return cache_->GetPage(file_, page).status(); };
+  };
+  auto group = [&](uint32_t page) {
+    return [this, page] { return cache_->FetchPages(Keys({page})); };
+  };
+
+  // Two failed draws, then the third attempt gets through.
+  auto [ds, dm, dns] = faulted(2, demand(0));
+  auto [gs, gm, gns] = faulted(2, group(1));
+  ASSERT_TRUE(ds.ok());
+  ASSERT_TRUE(gs.ok());
+  EXPECT_EQ(dm.rpc_count, 3u);
+  EXPECT_EQ(dm.rpc_retries, 2u);
+  EXPECT_EQ(dm.retry_backoff_ns, 3000000u);  // 1 ms + 2 ms
+  EXPECT_EQ(dm.client_cache_misses, 1u);
+  EXPECT_EQ(dm.disk_reads, 1u);
+  EXPECT_EQ(gm.rpc_count, dm.rpc_count);
+  EXPECT_EQ(gm.rpc_retries, dm.rpc_retries);
+  EXPECT_EQ(gm.retry_backoff_ns, dm.retry_backoff_ns);
+  EXPECT_EQ(gm.client_cache_misses, dm.client_cache_misses);
+  EXPECT_EQ(gm.disk_reads, dm.disk_reads);
+  EXPECT_EQ(gns, dns);
+  // They differ only in the batching counters and the readahead mark.
+  EXPECT_EQ(dm.batched_rpcs, 0u);
+  EXPECT_EQ(dm.pages_per_batch, 0u);
+  EXPECT_EQ(gm.batched_rpcs, 3u);
+  EXPECT_EQ(gm.pages_per_batch, 3u);
+  gm.batched_rpcs = dm.batched_rpcs;
+  gm.pages_per_batch = dm.pages_per_batch;
+  EXPECT_TRUE(gm == dm);
+  sim_.ResetClock();
+  ASSERT_TRUE(cache_->GetPage(file_, 0).ok());
+  ASSERT_TRUE(cache_->GetPage(file_, 1).ok());
+  EXPECT_EQ(sim_.metrics().readahead_hits, 1u);  // page 1 only
+
+  // Exhaustion: every attempt fails, each path abandons its page once.
+  auto [de, dem, dens] = faulted(1000, demand(2));
+  auto [ge, gem, gens] = faulted(1000, group(3));
+  EXPECT_TRUE(de.IsUnavailable());
+  EXPECT_TRUE(ge.IsUnavailable());
+  EXPECT_EQ(dem.rpc_failures, 1u);
+  EXPECT_EQ(gem.rpc_failures, dem.rpc_failures);
+  EXPECT_EQ(gem.rpc_count, dem.rpc_count);
+  EXPECT_EQ(gem.rpc_retries, dem.rpc_retries);
+  EXPECT_EQ(gem.retry_backoff_ns, dem.retry_backoff_ns);
+  EXPECT_EQ(gens, dens);
+  // The one documented split: the demand path counted its client miss
+  // before the first attempt; the group path counts a miss only for a page
+  // it shipped.
+  EXPECT_EQ(dem.client_cache_misses, 1u);
+  EXPECT_EQ(gem.client_cache_misses, 0u);
+}
+
 TEST(FetchBatchFaultSeedTest, ProbabilityFaultedBatchesAreSeedDeterministic) {
   auto campaign = [](uint64_t seed) {
     DiskManager disk;
@@ -492,6 +561,60 @@ TEST(FetchBatchFaultDifferentialTest, BatchedFaultCampaignIsDeterministic) {
   EXPECT_TRUE(metrics1 == metrics2);
   EXPECT_EQ(injected1, injected2);
   EXPECT_GT(injected1, 0u);
+}
+
+// One server with the injector armed at probability 0 takes the general
+// routing path — every access polls for crashes and draws its kRpc outcome —
+// and must charge exactly what the disarmed engine charges on a demand miss,
+// a group fetch and a write-back: the single-server identity holds by
+// construction, with no shortcut for it.
+TEST(FetchBatchFaultDifferentialTest, ArmedAtZeroProbabilityIsTheDisarmedRun) {
+  auto run = [](bool armed) {
+    auto derby = RandomDerby(3, ClusteringStrategy::kClassClustered);
+    Database* db = derby->db.get();
+    if (armed) db->sim().faults().Arm(11);  // every probability stays 0
+
+    SelectionSpec sel;
+    sel.collection = "Patients";
+    sel.key_attr = derby->meta.c_mrn;
+    sel.hi = derby->MrnCutoff(30);
+    sel.proj_attr = derby->meta.c_age;
+    sel.mode = SelectionMode::kScan;
+    sel.cold = true;
+    QueryRunStats scan = RunSelection(db, sel).value();
+
+    // The group path: a cold fetch of the first pages the scan touched.
+    std::vector<uint64_t> keys;
+    auto it = db->GetCollection("Patients").value()->Scan();
+    for (; it.Valid() && keys.size() < 8; it.Next()) {
+      uint64_t key = TwoLevelCache::PageKey(it.rid().file_id,
+                                            it.rid().page_id);
+      if (keys.empty() || keys.back() != key) keys.push_back(key);
+    }
+    EXPECT_TRUE(it.status().ok());
+    EXPECT_TRUE(db->cache().Shutdown().ok());
+    db->sim().ResetClock();
+    EXPECT_TRUE(db->cache().FetchPages(keys).ok());
+    // The write-back path: one fetched page dirtied and shipped down.
+    EXPECT_TRUE(db->cache()
+                    .GetPageForWrite(static_cast<uint16_t>(keys[0] >> 32),
+                                     static_cast<uint32_t>(keys[0]))
+                    .ok());
+    EXPECT_TRUE(db->cache().FlushAll().ok());
+    EXPECT_EQ(db->sim().faults().ops(FaultSite::kRpc) > 0, armed);
+    return std::make_tuple(scan, db->sim().metrics(), db->sim().elapsed_ns());
+  };
+
+  auto [scan_off, fetch_off, ns_off] = run(false);
+  auto [scan_on, fetch_on, ns_on] = run(true);
+  ASSERT_GT(scan_off.result_count, 0u);
+  EXPECT_EQ(scan_on.result_count, scan_off.result_count);
+  EXPECT_TRUE(scan_on.metrics == scan_off.metrics);
+  EXPECT_EQ(scan_on.seconds, scan_off.seconds);
+  EXPECT_GT(fetch_off.batched_rpcs, 0u);
+  EXPECT_EQ(fetch_off.dirty_page_writebacks, 1u);
+  EXPECT_TRUE(fetch_on == fetch_off);
+  EXPECT_EQ(ns_on, ns_off);
 }
 
 }  // namespace

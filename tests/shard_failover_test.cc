@@ -43,7 +43,8 @@ TEST(PlacementTest, ValidateRejectsBadOptions) {
 
 TEST(PlacementTest, SingleServerMapsEverythingToShardZero) {
   PlacementMap map;  // defaults: one server, no replication
-  EXPECT_TRUE(map.single_server());
+  EXPECT_EQ(map.num_servers(), 1u);
+  EXPECT_FALSE(map.replication());
   for (uint32_t p = 0; p < 1000; ++p) {
     EXPECT_EQ(map.PrimaryShard(TwoLevelCache::PageKey(3, p)), 0u);
   }
@@ -53,7 +54,8 @@ TEST(PlacementTest, HashPlacementSpreadsKeysAcrossShards) {
   PlacementOptions opts;
   opts.num_servers = 4;
   PlacementMap map(opts);
-  EXPECT_FALSE(map.single_server());
+  EXPECT_EQ(map.num_servers(), 4u);
+  EXPECT_FALSE(map.replication());
 
   std::vector<uint32_t> per_shard(4, 0);
   const uint32_t kKeys = 10000;
@@ -118,7 +120,8 @@ std::vector<uint32_t> LoadPages(Database* db, uint16_t file_id, uint32_t n) {
 TEST(ShardedCacheTest, DefaultDatabaseIsSingleServer) {
   Database db;
   EXPECT_EQ(db.cache().NumShards(), 1u);
-  EXPECT_TRUE(db.placement().single_server());
+  EXPECT_EQ(db.placement().num_servers(), 1u);
+  EXPECT_FALSE(db.placement().replication());
 }
 
 TEST(ShardedCacheTest, ReconfigureToCurrentPlacementChargesNothing) {
