@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/byte_io.h"
 #include "src/common/random.h"
 
 namespace treebench {
@@ -150,28 +151,45 @@ std::vector<uint8_t> RandomBytes(Lrand48* rng, size_t n) {
   return bytes;
 }
 
+// Crc32 folds the 16-byte-multiple bulk of inputs of 64 bytes or more with
+// carry-less multiplies where the CPU has them and hands the rest to the
+// table loop; Crc32Portable is the table loop alone. Every case runs both.
+struct Crc32Kernel {
+  const char* name;
+  uint32_t (*fn)(const uint8_t*, uint32_t);
+};
+constexpr Crc32Kernel kKernels[] = {{"Crc32", &Crc32},
+                                    {"Crc32Portable", &Crc32Portable}};
+
 TEST(Crc32Test, KnownAnswers) {
   const std::string check = "123456789";
-  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
-                  static_cast<uint32_t>(check.size())),
-            0xCBF43926u);
   const uint8_t unused = 0;
-  EXPECT_EQ(Crc32(&unused, 0), 0u);
+  for (const Crc32Kernel& kernel : kKernels) {
+    SCOPED_TRACE(kernel.name);
+    EXPECT_EQ(kernel.fn(reinterpret_cast<const uint8_t*>(check.data()),
+                        static_cast<uint32_t>(check.size())),
+              0xCBF43926u);
+    EXPECT_EQ(kernel.fn(&unused, 0), 0u);
+  }
 }
 
 // Each case gets a buffer that ends at the input's last byte, so a read past
-// `len` trips AddressSanitizer; offsets 0..7 shift the 32-bit word loads
-// through every alignment.
+// `len` trips AddressSanitizer. Offsets 0..15 shift the word and 128-bit
+// loads through every alignment; lengths up to 320 cover the table-only
+// sizes, the first 64-byte fold block, the 16-byte single folds after it,
+// several 64-byte folds, and every tail length after each.
 TEST(Crc32Test, MatchesReferenceAtEveryShortLengthAndOffset) {
   Lrand48 rng(12);
-  const std::vector<uint8_t> bytes = RandomBytes(&rng, 64 + 8);
-  for (uint32_t offset = 0; offset < 8; ++offset) {
-    for (uint32_t len = 0; len <= 64; ++len) {
+  const std::vector<uint8_t> bytes = RandomBytes(&rng, 320 + 16);
+  for (uint32_t offset = 0; offset < 16; ++offset) {
+    for (uint32_t len = 0; len <= 320; ++len) {
       const std::vector<uint8_t> buf(bytes.begin(),
                                      bytes.begin() + offset + len);
-      EXPECT_EQ(Crc32(buf.data() + offset, len),
-                ReferenceCrc32(buf.data() + offset, len))
-          << "offset " << offset << " len " << len;
+      const uint32_t want = ReferenceCrc32(buf.data() + offset, len);
+      for (const Crc32Kernel& kernel : kKernels) {
+        EXPECT_EQ(kernel.fn(buf.data() + offset, len), want)
+            << kernel.name << " offset " << offset << " len " << len;
+      }
     }
   }
 }
@@ -180,9 +198,21 @@ TEST(Crc32Test, MatchesReferenceOnRandomPages) {
   Lrand48 rng(42);
   for (int i = 0; i < 1000; ++i) {
     const std::vector<uint8_t> page = RandomBytes(&rng, kPageSize);
-    ASSERT_EQ(PageChecksum(page.data()),
-              ReferenceCrc32(page.data(), kPageChecksumOffset))
+    const uint32_t want = ReferenceCrc32(page.data(), kPageChecksumOffset);
+    ASSERT_EQ(PageChecksum(page.data()), want) << "page " << i;
+    ASSERT_EQ(Crc32Portable(page.data(), kPageChecksumOffset), want)
         << "page " << i;
+  }
+}
+
+TEST(Crc32Test, MatchesReferenceOnAllZeroAndAllOnesPages) {
+  for (const uint8_t fill : {uint8_t{0x00}, uint8_t{0xFF}}) {
+    const std::vector<uint8_t> page(kPageSize, fill);
+    const uint32_t want = ReferenceCrc32(page.data(), kPageChecksumOffset);
+    for (const Crc32Kernel& kernel : kKernels) {
+      EXPECT_EQ(kernel.fn(page.data(), kPageChecksumOffset), want)
+          << kernel.name << " fill " << int{fill};
+    }
   }
 }
 
@@ -191,11 +221,16 @@ TEST(Crc32Test, VerifyRejectsASingleFlippedBit) {
   std::vector<uint8_t> page = RandomBytes(&rng, kPageSize);
   StampPageChecksum(page.data());
   ASSERT_TRUE(VerifyPageChecksum(page.data()));
+  const uint32_t stamped = GetU32(page.data() + kPageChecksumOffset);
   // One flip per byte, trailer included, cycling through the bit positions.
   for (uint32_t i = 0; i < kPageSize; ++i) {
     const uint8_t mask = static_cast<uint8_t>(1u << (i % 8));
     page[i] ^= mask;
     EXPECT_FALSE(VerifyPageChecksum(page.data())) << "byte " << i;
+    if (i < kPageChecksumOffset) {
+      EXPECT_NE(Crc32Portable(page.data(), kPageChecksumOffset), stamped)
+          << "byte " << i;
+    }
     page[i] ^= mask;
   }
   EXPECT_TRUE(VerifyPageChecksum(page.data()));
