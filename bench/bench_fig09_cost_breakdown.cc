@@ -12,7 +12,6 @@
 #include "common/bench_util.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "src/common/string_util.h"
 #include "src/cost/trace.h"
@@ -126,15 +125,10 @@ int Main(int argc, char** argv) {
       WithThousands(sorted_trace->metrics.comparisons).c_str());
 
   if (!opts.trace_json_path.empty()) {
-    std::ofstream out(opts.trace_json_path, std::ios::trunc);
-    if (!out.good()) {
-      std::fprintf(stderr, "cannot write %s\n",
-                   opts.trace_json_path.c_str());
-      return 1;
-    }
-    out << "{\n\"standard_scan\":\n" << TraceToJson(*scan_trace)
-        << ",\n\"sorted_index_scan\":\n" << TraceToJson(*sorted_trace)
-        << "\n}\n";
+    const std::string json =
+        "{\n\"standard_scan\":\n" + TraceToJson(*scan_trace) +
+        ",\n\"sorted_index_scan\":\n" + TraceToJson(*sorted_trace) + "\n}\n";
+    if (!WriteTextFile(opts.trace_json_path, json)) return 1;
     std::printf("wrote traces to %s\n", opts.trace_json_path.c_str());
   }
   return 0;

@@ -240,7 +240,6 @@ int Main(int argc, char** argv) {
   telemetry::FlatRun summary;
   std::string json = "[\n";
   bool first_json = true;
-  bool summary_ok = true;
 
   for (size_t ci = 0; ci < clusterings.size(); ++ci) {
     const std::string cluster_label =
@@ -323,14 +322,11 @@ int Main(int argc, char** argv) {
     std::printf("wrote workload reports to %s\n", opts.json_path.c_str());
   }
   if (!opts.summary_json.empty()) {
-    if (WriteTextFile(opts.summary_json, summary.ToJson())) {
-      std::printf("wrote run summary to %s\n", opts.summary_json.c_str());
-    } else {
-      summary_ok = false;
-    }
+    if (!WriteTextFile(opts.summary_json, summary.ToJson())) return 1;
+    std::printf("wrote run summary to %s\n", opts.summary_json.c_str());
   }
   ExportStats(stats, opts);
-  return cells_ok && summary_ok ? 0 : 1;
+  return cells_ok ? 0 : 1;
 }
 
 }  // namespace

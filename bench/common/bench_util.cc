@@ -253,21 +253,15 @@ StatRecord WorkloadStatRecord(const WorkloadRun& run) {
 void ExportStats(const StatStore& stats, const BenchOptions& opts) {
   if (!opts.csv_path.empty()) {
     Status s = stats.ExportCsv(opts.csv_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
-    } else {
-      std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
-                   opts.csv_path.c_str());
-    }
+    if (!s.ok()) Die("csv export", s);
+    std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
+                 opts.csv_path.c_str());
   }
   if (!opts.stats_json_path.empty()) {
     Status s = stats.ExportJson(opts.stats_json_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "json export failed: %s\n", s.ToString().c_str());
-    } else {
-      std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
-                   opts.stats_json_path.c_str());
-    }
+    if (!s.ok()) Die("stats json export", s);
+    std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
+                 opts.stats_json_path.c_str());
   }
 }
 

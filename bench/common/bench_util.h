@@ -144,7 +144,7 @@ void RunWorkloadInto(DerbyDb* derby, const WorkloadSpec& spec,
 StatRecord WorkloadStatRecord(const WorkloadRun& run);
 
 /// Dumps the stat store as CSV to opts.csv_path and as JSON to
-/// opts.stats_json_path, each when set.
+/// opts.stats_json_path, each when set. A failed export goes through Die().
 void ExportStats(const StatStore& stats, const BenchOptions& opts);
 
 }  // namespace treebench::bench

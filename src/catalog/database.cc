@@ -106,59 +106,54 @@ Result<IndexInfo*> Database::CreateIndex(const std::string& index_name,
 
   uint64_t col_count = 0;
   TB_ASSIGN_OR_RETURN(col_count, col->Count());
+  if (mode == IndexBuildMode::kPredeclared || col_count == 0) return ptr;
 
-  if (mode == IndexBuildMode::kAfterLoadIncremental && col_count > 0) {
-    uint64_t position = 0;
-    auto it = col->Scan();
-    for (; it.Valid(); it.Next(), ++position) {
-      Rid canonical;
-      TB_ASSIGN_OR_RETURN(canonical, store_.AddIndexRef(it.rid(), ptr->id));
-      if (canonical != it.rid()) {
-        TB_RETURN_IF_ERROR(col->Set(position, canonical));
-      }
-      ObjectHandle* h = nullptr;
-      TB_ASSIGN_OR_RETURN(h, store_.Get(canonical));
-      int32_t key = 0;
-      TB_ASSIGN_OR_RETURN(key, store_.GetInt32(h, attr));
-      store_.Unref(h);
-      TB_RETURN_IF_ERROR(ptr->tree->Insert(key, canonical));
+  // The Section 3.2 trap, faithfully: every member's header must record
+  // its membership. Objects created without header slots are relocated
+  // (forwarding stubs destroy the physical organization); the extent is
+  // repaired to point at the new locations.
+  const bool incremental = mode == IndexBuildMode::kAfterLoadIncremental;
+  std::vector<std::pair<int64_t, Rid>> entries;
+  if (!incremental) entries.reserve(col_count);
+  uint64_t position = 0;
+  auto it = col->Scan();
+  for (; it.Valid(); it.Next(), ++position) {
+    Rid canonical;
+    TB_ASSIGN_OR_RETURN(canonical, store_.AddIndexRef(it.rid(), ptr->id));
+    if (canonical != it.rid()) {
+      TB_RETURN_IF_ERROR(col->Set(position, canonical));
     }
-    TB_RETURN_IF_ERROR(it.status());
-    return ptr;
-  }
-
-  if (mode == IndexBuildMode::kAfterLoad && col_count > 0) {
-    // The Section 3.2 trap, faithfully: every member's header must record
-    // its membership. Objects created without header slots are relocated
-    // (forwarding stubs destroy the physical organization); the extent is
-    // repaired to point at the new locations.
-    std::vector<std::pair<int64_t, Rid>> entries;
-    entries.reserve(col_count);
-    uint64_t position = 0;
-    auto it = col->Scan();
-    for (; it.Valid(); it.Next(), ++position) {
-      Rid canonical;
-      TB_ASSIGN_OR_RETURN(canonical, store_.AddIndexRef(it.rid(), ptr->id));
-      if (canonical != it.rid()) {
-        TB_RETURN_IF_ERROR(col->Set(position, canonical));
-      }
-      ObjectHandle* h = nullptr;
-      TB_ASSIGN_OR_RETURN(h, store_.Get(canonical));
-      int32_t key = 0;
-      TB_ASSIGN_OR_RETURN(key, store_.GetInt32(h, attr));
-      store_.Unref(h);
+    int32_t key = 0;
+    TB_ASSIGN_OR_RETURN(key, IndexKey(canonical, attr));
+    if (incremental) {
+      TB_RETURN_IF_ERROR(ptr->tree->Insert(key, canonical));
+    } else {
       entries.emplace_back(key, canonical);
     }
-    TB_RETURN_IF_ERROR(it.status());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first < b.first;
-                return a.second.Packed() < b.second.Packed();
-              });
-    sim_.ChargeSort(entries.size());
-    TB_RETURN_IF_ERROR(ptr->tree->BulkBuild(entries));
   }
+  TB_RETURN_IF_ERROR(it.status());
+  if (!incremental) TB_RETURN_IF_ERROR(BulkBuildSorted(ptr, &entries));
   return ptr;
+}
+
+Result<int32_t> Database::IndexKey(const Rid& rid, size_t attr) {
+  ObjectHandle* h = nullptr;
+  TB_ASSIGN_OR_RETURN(h, store_.Get(rid));
+  int32_t key = 0;
+  TB_ASSIGN_OR_RETURN(key, store_.GetInt32(h, attr));
+  store_.Unref(h);
+  return key;
+}
+
+Status Database::BulkBuildSorted(IndexInfo* idx,
+                                 std::vector<std::pair<int64_t, Rid>>* entries) {
+  std::sort(entries->begin(), entries->end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return a.second.Packed() < b.second.Packed();
+            });
+  sim_.ChargeSort(entries->size());
+  return idx->tree->BulkBuild(*entries);
 }
 
 Result<Rid> Database::NotifyInsert(const std::string& collection,
@@ -167,11 +162,8 @@ Result<Rid> Database::NotifyInsert(const std::string& collection,
   for (auto& idx : indexes_) {
     if (idx->collection != collection) continue;
     TB_ASSIGN_OR_RETURN(canonical, store_.AddIndexRef(canonical, idx->id));
-    ObjectHandle* h = nullptr;
-    TB_ASSIGN_OR_RETURN(h, store_.Get(canonical));
     int32_t key = 0;
-    TB_ASSIGN_OR_RETURN(key, store_.GetInt32(h, idx->attr));
-    store_.Unref(h);
+    TB_ASSIGN_OR_RETURN(key, IndexKey(canonical, idx->attr));
     TB_RETURN_IF_ERROR(idx->tree->Insert(key, canonical));
   }
   return canonical;
@@ -260,9 +252,10 @@ Status Database::UpdateIndexedInt32(const Rid& rid, size_t attr,
   std::vector<uint32_t> ids;
   TB_ASSIGN_OR_RETURN(ids, store_.GetIndexIds(canonical));
   for (uint32_t id : ids) {
-    if (id >= indexes_.size()) continue;
-    IndexInfo* idx = indexes_[id].get();
-    if (idx->attr != attr || idx->class_id != class_id) continue;
+    IndexInfo* idx = IndexById(id);
+    if (idx == nullptr || idx->attr != attr || idx->class_id != class_id) {
+      continue;
+    }
     TB_RETURN_IF_ERROR(idx->tree->Remove(old_value, canonical));
     TB_RETURN_IF_ERROR(idx->tree->Insert(value, canonical));
   }
@@ -282,9 +275,8 @@ Status Database::RemoveFromIndexes(const Rid& canonical) {
   ids = std::move(*ids_r);
   Status st = Status::OK();
   for (uint32_t id : ids) {
-    if (id >= indexes_.size()) continue;
-    IndexInfo* idx = indexes_[id].get();
-    if (idx->class_id != class_id) continue;
+    IndexInfo* idx = IndexById(id);
+    if (idx == nullptr || idx->class_id != class_id) continue;
     int32_t key = 0;
     Result<int32_t> key_r = store_.GetInt32(h, idx->attr);
     if (!key_r.ok()) {
@@ -470,20 +462,11 @@ Status Database::DumpAndReload(ClusteringStrategy placement) {
     for (const Rid& rid : new_rids[idx->collection]) {
       Rid canonical;
       TB_ASSIGN_OR_RETURN(canonical, store_.AddIndexRef(rid, idx->id));
-      ObjectHandle* h = nullptr;
-      TB_ASSIGN_OR_RETURN(h, store_.Get(canonical));
       int32_t key = 0;
-      TB_ASSIGN_OR_RETURN(key, store_.GetInt32(h, idx->attr));
-      store_.Unref(h);
+      TB_ASSIGN_OR_RETURN(key, IndexKey(canonical, idx->attr));
       entries.emplace_back(key, canonical);
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first < b.first;
-                return a.second.Packed() < b.second.Packed();
-              });
-    sim_.ChargeSort(entries.size());
-    TB_RETURN_IF_ERROR(idx->tree->BulkBuild(entries));
+    TB_RETURN_IF_ERROR(BulkBuildSorted(idx.get(), &entries));
   }
 
   store_.DropAllHandles();

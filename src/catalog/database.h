@@ -165,6 +165,10 @@ class Database {
   /// Index on (collection, attr), or null.
   IndexInfo* FindIndex(const std::string& collection, size_t attr);
   IndexInfo* FindIndexByName(const std::string& index_name);
+  /// Index whose id is `id` (ids are positions in indexes()), or null.
+  IndexInfo* IndexById(uint32_t id) {
+    return id < indexes_.size() ? indexes_[id].get() : nullptr;
+  }
   const std::vector<std::unique_ptr<IndexInfo>>& indexes() const {
     return indexes_;
   }
@@ -228,6 +232,16 @@ class Database {
   }
 
  private:
+  /// The int32 key `attr` of the object at `rid`, read through a handle
+  /// (Get, GetInt32, Unref). A failed read returns with the handle still
+  /// referenced.
+  Result<int32_t> IndexKey(const Rid& rid, size_t attr);
+
+  /// Sorts `entries` by (key, rid), charges the sort and bulk-builds
+  /// `idx`'s tree from them.
+  Status BulkBuildSorted(IndexInfo* idx,
+                         std::vector<std::pair<int64_t, Rid>>* entries);
+
   DatabaseOptions opts_;
   DiskManager disk_;
   SimContext sim_;

@@ -1,5 +1,6 @@
 #include "src/objects/object_layout.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/byte_io.h"
@@ -211,6 +212,20 @@ Status AddIndexIdAt(std::span<uint8_t> bytes, uint32_t index_id) {
   bytes[kFixedHeaderSize + count] = static_cast<uint8_t>(index_id);
   bytes[4] = static_cast<uint8_t>(count + 1);
   return Status::OK();
+}
+
+std::vector<uint8_t> GrowIndexHeader(std::span<const uint8_t> bytes,
+                                     uint8_t new_capacity) {
+  const size_t old_header = HeaderSize(bytes[3]);
+  TB_CHECK(new_capacity >= bytes[3]);
+  std::vector<uint8_t> grown(HeaderSize(new_capacity) +
+                             (bytes.size() - old_header));
+  // Fixed header and the existing index ids, then the attribute body.
+  std::copy(bytes.begin(), bytes.begin() + old_header, grown.begin());
+  grown[3] = new_capacity;
+  std::copy(bytes.begin() + old_header, bytes.end(),
+            grown.begin() + HeaderSize(new_capacity));
+  return grown;
 }
 
 void RemoveIndexIdAt(std::span<uint8_t> bytes, uint32_t index_id) {

@@ -56,6 +56,12 @@ inline size_t HeaderSize(uint8_t index_capacity) {
   return kFixedHeaderSize + index_capacity;
 }
 
+/// True when `bytes` is long enough for an object header; a shorter record
+/// is corrupt.
+inline bool HasObjectHeader(std::span<const uint8_t> bytes) {
+  return bytes.size() >= kFixedHeaderSize;
+}
+
 /// A field value as stored: strings in separate mode and ref-sets are
 /// represented by the Rid of their record.
 using StoredField = std::variant<int32_t, char, std::string, Rid>;
@@ -117,6 +123,13 @@ void SetSetRidAt(std::span<uint8_t> bytes, const ClassDef& cls,
 /// Appends an index id into a free header slot. Fails with
 /// ResourceExhausted when the header has no free slot (relocation needed).
 Status AddIndexIdAt(std::span<uint8_t> bytes, uint32_t index_id);
+
+/// A copy of the record with its header grown to `new_capacity` index-id
+/// slots (at least the current capacity): same class, flags, index ids and
+/// attribute body. The relocation path's record when AddIndexIdAt finds no
+/// free slot (Section 3.2).
+std::vector<uint8_t> GrowIndexHeader(std::span<const uint8_t> bytes,
+                                     uint8_t new_capacity);
 
 /// Removes an index id from the header (no-op if absent).
 void RemoveIndexIdAt(std::span<uint8_t> bytes, uint32_t index_id);

@@ -1,5 +1,7 @@
 #include "src/objects/object_store.h"
 
+#include <utility>
+
 #include "src/common/logging.h"
 
 namespace treebench {
@@ -117,19 +119,23 @@ Result<Rid> ObjectStore::CreateObject(uint16_t class_id,
 }
 
 Result<std::span<const uint8_t>> ObjectStore::ReadRecord(const Rid& rid,
-                                                         Rid* canonical) {
+                                                         Rid* canonical,
+                                                         bool delete_stubs) {
   Rid cur = rid;
-  for (int hop = 0; hop < 8; ++hop) {
+  for (int hop = 0; hop < kMaxForwardHops; ++hop) {
     std::span<const uint8_t> rec;
     TB_ASSIGN_OR_RETURN(rec, File(cur.file_id)->Read(cur));
-    if (rec.size() < object_layout::kFixedHeaderSize) {
+    if (!object_layout::HasObjectHeader(rec)) {
       return Status::Corruption("record too small for an object header");
     }
-    if ((rec[2] & object_layout::kFlagForward) == 0) {
+    ObjectView view(rec, nullptr, string_mode_);
+    if (!view.IsForward()) {
       *canonical = cur;
       return rec;
     }
-    cur = Rid::DecodeFrom(rec.data() + object_layout::kFixedHeaderSize);
+    const Rid next = view.ForwardTarget();
+    if (delete_stubs) TB_RETURN_IF_ERROR(File(cur.file_id)->Delete(cur));
+    cur = next;
   }
   return Status::Corruption("forwarding chain too long");
 }
@@ -146,7 +152,8 @@ uint64_t ObjectStore::AliasedKey(uint64_t key) const {
   return it != ht_->alias.end() ? it->second : key;
 }
 
-Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
+template <typename OnFresh>
+Result<ObjectHandle*> ObjectStore::Grant(const Rid& rid, OnFresh&& on_fresh) {
   if (ObjectHandle* h = ht_->handles.Find(AliasedKey(rid.Packed()))) {
     // Already resident: cheap re-reference (no page access needed — the
     // handle caches the object's location and bookkeeping).
@@ -172,13 +179,19 @@ Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
     }
   }
 
-  sim_->ChargeHandleGet();
-  sim_->AddHandleMemory(static_cast<int64_t>(sim_->HandleBytes()));
   ObjectHandle* h = ht_->handles.Insert(canon_key);
   h->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
   h->refcount = 1;
-  MaybeCollectZombies();
+  on_fresh();
   return h;
+}
+
+Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
+  return Grant(rid, [this] {
+    sim_->ChargeHandleGet();
+    sim_->AddHandleMemory(static_cast<int64_t>(sim_->HandleBytes()));
+    MaybeCollectZombies();
+  });
 }
 
 Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
@@ -188,38 +201,12 @@ Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
   uint64_t materialized = 0;
   Status err = Status::OK();
   for (const Rid& rid : rids) {
-    if (ObjectHandle* h = ht_->handles.Find(AliasedKey(rid.Packed()))) {
-      sim_->ChargeHandleLookup();
-      ++h->refcount;
-      if (observer_ != nullptr) observer_->OnObjectAccess(h->rid);
-      out.push_back(h);
-      continue;
-    }
-
-    Rid canonical;
-    auto rec_or = ReadRecord(rid, &canonical);
-    if (!rec_or.ok()) {
-      err = rec_or.status();
+    Result<ObjectHandle*> h = Grant(rid, [&materialized] { ++materialized; });
+    if (!h.ok()) {
+      err = h.status();
       break;
     }
-    if (observer_ != nullptr) observer_->OnObjectAccess(canonical);
-    std::span<const uint8_t> rec = *rec_or;
-    uint64_t canon_key = canonical.Packed();
-    if (canon_key != rid.Packed()) {
-      ht_->alias[rid.Packed()] = canon_key;
-      if (ObjectHandle* h = ht_->handles.Find(canon_key)) {
-        sim_->ChargeHandleLookup();
-        ++h->refcount;
-        out.push_back(h);
-        continue;
-      }
-    }
-
-    ObjectHandle* h = ht_->handles.Insert(canon_key);
-    h->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
-    h->refcount = 1;
-    out.push_back(h);
-    ++materialized;
+    out.push_back(*h);
   }
 
   // The grouped allocation: one batch-grab setup amortized over all fresh
@@ -256,29 +243,10 @@ void ObjectStore::UnrefBatch(std::span<ObjectHandle* const> handles) {
 
 Status ObjectStore::DeleteRecord(const Rid& rid) {
   // Walk the forwarding chain, deleting each stub, then the record itself.
-  Rid cur = rid;
-  bool found = false;
   Rid canonical;
-  for (int hop = 0; hop < 8 && !found; ++hop) {
-    std::span<const uint8_t> rec;
-    TB_ASSIGN_OR_RETURN(rec, File(cur.file_id)->Read(cur));
-    if (rec.size() < object_layout::kFixedHeaderSize) {
-      return Status::Corruption("record too small for an object header");
-    }
-    bool forward = (rec[2] & object_layout::kFlagForward) != 0;
-    Rid next;
-    if (forward) {
-      next = Rid::DecodeFrom(rec.data() + object_layout::kFixedHeaderSize);
-    }
-    TB_RETURN_IF_ERROR(File(cur.file_id)->Delete(cur));
-    if (forward) {
-      cur = next;
-    } else {
-      canonical = cur;
-      found = true;
-    }
-  }
-  if (!found) return Status::Corruption("forwarding chain too long");
+  TB_RETURN_IF_ERROR(
+      ReadRecord(rid, &canonical, /*delete_stubs=*/true).status());
+  TB_RETURN_IF_ERROR(File(canonical.file_id)->Delete(canonical));
 
   uint64_t key = canonical.Packed();
   if (ht_->handles.Erase(key)) {
@@ -328,79 +296,63 @@ void ObjectStore::DropAllHandles() {
   ht_->alias.clear();
 }
 
-namespace {
-
-// Every attribute access decodes through a fresh view of the record bytes;
-// the page access below re-touches the cache, so evicted pages fault again
-// (objects are not pinned while a handle exists, as in O2's swappable
-// client cache).
-struct RecordAccess {
-  std::span<const uint8_t> bytes;
-  const ClassDef* cls;
-};
-
-}  // namespace
+template <typename Decode>
+auto ObjectStore::ReadAttr(ObjectHandle* h, Decode&& decode) {
+  using R = decltype(decode(std::declval<const ObjectView&>()));
+  Result<std::span<const uint8_t>> rec = File(h->rid.file_id)->Read(h->rid);
+  if (!rec.ok()) return R(rec.status());
+  sim_->ChargeAttrAccess();
+  return decode(
+      ObjectView(*rec, &schema_->GetClass(h->class_id), string_mode_));
+}
 
 Result<int32_t> ObjectStore::GetInt32(ObjectHandle* h, size_t attr) {
-  std::span<const uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(h->rid.file_id)->Read(h->rid));
-  sim_->ChargeAttrAccess();
-  const ClassDef& cls = schema_->GetClass(h->class_id);
-  return ObjectView(rec, &cls, string_mode_).GetInt32(attr);
+  return ReadAttr(h, [&](const ObjectView& view) -> Result<int32_t> {
+    return view.GetInt32(attr);
+  });
 }
 
 Result<char> ObjectStore::GetChar(ObjectHandle* h, size_t attr) {
-  std::span<const uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(h->rid.file_id)->Read(h->rid));
-  sim_->ChargeAttrAccess();
-  const ClassDef& cls = schema_->GetClass(h->class_id);
-  return ObjectView(rec, &cls, string_mode_).GetChar(attr);
+  return ReadAttr(h, [&](const ObjectView& view) -> Result<char> {
+    return view.GetChar(attr);
+  });
 }
 
 Result<std::string> ObjectStore::GetString(ObjectHandle* h, size_t attr) {
-  std::span<const uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(h->rid.file_id)->Read(h->rid));
-  sim_->ChargeAttrAccess();
-  const ClassDef& cls = schema_->GetClass(h->class_id);
-  ObjectView view(rec, &cls, string_mode_);
-  if (string_mode_ == StringStorage::kInline) {
-    return std::string(view.GetInlineString(attr));
-  }
-  Rid srid = view.GetStringRid(attr);
-  std::span<const uint8_t> payload;
-  TB_ASSIGN_OR_RETURN(payload, File(srid.file_id)->Read(srid));
-  sim_->ChargeLiteralHandle();
-  return std::string(reinterpret_cast<const char*>(payload.data()),
-                     payload.size());
+  return ReadAttr(h, [&](const ObjectView& view) -> Result<std::string> {
+    if (string_mode_ == StringStorage::kInline) {
+      return std::string(view.GetInlineString(attr));
+    }
+    Rid srid = view.GetStringRid(attr);
+    std::span<const uint8_t> payload;
+    TB_ASSIGN_OR_RETURN(payload, File(srid.file_id)->Read(srid));
+    sim_->ChargeLiteralHandle();
+    return std::string(reinterpret_cast<const char*>(payload.data()),
+                       payload.size());
+  });
 }
 
 Result<Rid> ObjectStore::GetRef(ObjectHandle* h, size_t attr) {
-  std::span<const uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(h->rid.file_id)->Read(h->rid));
-  sim_->ChargeAttrAccess();
-  const ClassDef& cls = schema_->GetClass(h->class_id);
-  return ObjectView(rec, &cls, string_mode_).GetRef(attr);
+  return ReadAttr(h, [&](const ObjectView& view) -> Result<Rid> {
+    return view.GetRef(attr);
+  });
 }
 
 Result<std::vector<Rid>> ObjectStore::GetRefSet(ObjectHandle* h,
                                                 size_t attr) {
-  std::span<const uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(h->rid.file_id)->Read(h->rid));
-  sim_->ChargeAttrAccess();
-  const ClassDef& cls = schema_->GetClass(h->class_id);
-  Rid set_rid = ObjectView(rec, &cls, string_mode_).GetSetRid(attr);
-  if (!set_rid.valid()) return std::vector<Rid>{};
-  return sets_.Read(File(set_rid.file_id), set_rid);
+  return ReadAttr(h, [&](const ObjectView& view) -> Result<std::vector<Rid>> {
+    Rid set_rid = view.GetSetRid(attr);
+    if (!set_rid.valid()) return std::vector<Rid>{};
+    return sets_.Read(File(set_rid.file_id), set_rid);
+  });
 }
 
 Result<uint32_t> ObjectStore::GetRefSetCount(ObjectHandle* h, size_t attr) {
-  std::span<const uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(h->rid.file_id)->Read(h->rid));
-  sim_->ChargeAttrAccess();
-  const ClassDef& cls = schema_->GetClass(h->class_id);
-  Rid set_rid = ObjectView(rec, &cls, string_mode_).GetSetRid(attr);
-  if (!set_rid.valid()) return 0u;
-  return sets_.Count(File(set_rid.file_id), set_rid);
+  return ReadAttr(h, [&](const ObjectView& view) -> Result<uint32_t> {
+    Rid set_rid = view.GetSetRid(attr);
+    if (!set_rid.valid()) return 0u;
+    return sets_.Count(File(set_rid.file_id), set_rid);
+  });
 }
 
 Result<ObjectData> ObjectStore::Materialize(ObjectHandle* h) {
@@ -444,27 +396,30 @@ Result<ObjectData> ObjectStore::Materialize(ObjectHandle* h) {
   return data;
 }
 
+Result<std::span<uint8_t>> ObjectStore::MutableRecord(const Rid& rid,
+                                                      Rid* canonical) {
+  TB_RETURN_IF_ERROR(ReadRecord(rid, canonical).status());
+  return File(canonical->file_id)->ReadMutable(*canonical);
+}
+
+const ClassDef& ObjectStore::RecordClass(
+    std::span<const uint8_t> rec) const {
+  return schema_->GetClass(ObjectView(rec, nullptr, string_mode_).class_id());
+}
+
 Status ObjectStore::SetInt32(const Rid& rid, size_t attr, int32_t v) {
   Rid canonical;
-  TB_RETURN_IF_ERROR(ReadRecord(rid, &canonical).status());
   std::span<uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(canonical.file_id)->ReadMutable(canonical));
-  const ClassDef& cls = schema_->GetClass(ObjectView(rec, nullptr,
-                                                     string_mode_)
-                                              .class_id());
-  object_layout::SetInt32At(rec, cls, string_mode_, attr, v);
+  TB_ASSIGN_OR_RETURN(rec, MutableRecord(rid, &canonical));
+  object_layout::SetInt32At(rec, RecordClass(rec), string_mode_, attr, v);
   return Status::OK();
 }
 
 Status ObjectStore::SetRef(const Rid& rid, size_t attr, const Rid& v) {
   Rid canonical;
-  TB_RETURN_IF_ERROR(ReadRecord(rid, &canonical).status());
   std::span<uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(canonical.file_id)->ReadMutable(canonical));
-  const ClassDef& cls = schema_->GetClass(ObjectView(rec, nullptr,
-                                                     string_mode_)
-                                              .class_id());
-  object_layout::SetRefAt(rec, cls, string_mode_, attr, v);
+  TB_ASSIGN_OR_RETURN(rec, MutableRecord(rid, &canonical));
+  object_layout::SetRefAt(rec, RecordClass(rec), string_mode_, attr, v);
   return Status::OK();
 }
 
@@ -479,8 +434,7 @@ Status ObjectStore::SetRefSet(const Rid& rid, size_t attr,
 
   std::span<const uint8_t> rec_ro;
   TB_ASSIGN_OR_RETURN(rec_ro, home->Read(canonical));
-  const ClassDef& cls = schema_->GetClass(
-      ObjectView(rec_ro, nullptr, string_mode_).class_id());
+  const ClassDef& cls = RecordClass(rec_ro);
   Rid old_set = ObjectView(rec_ro, &cls, string_mode_).GetSetRid(attr);
 
   Rid new_set;
@@ -501,13 +455,9 @@ Status ObjectStore::SetRefSet(const Rid& rid, size_t attr,
 
 Result<Rid> ObjectStore::AddIndexRef(const Rid& rid, uint32_t index_id) {
   Rid canonical;
-  std::span<const uint8_t> rec_ro;
-  TB_ASSIGN_OR_RETURN(rec_ro, ReadRecord(rid, &canonical));
-  RecordFile* home = File(canonical.file_id);
-
   {
     std::span<uint8_t> rec;
-    TB_ASSIGN_OR_RETURN(rec, home->ReadMutable(canonical));
+    TB_ASSIGN_OR_RETURN(rec, MutableRecord(rid, &canonical));
     Status s = object_layout::AddIndexIdAt(rec, index_id);
     if (s.ok()) return canonical;
     if (!s.IsResourceExhausted()) return s;
@@ -518,27 +468,14 @@ Result<Rid> ObjectStore::AddIndexRef(const Rid& rid, uint32_t index_id) {
   // header" — Section 3.2). The old record becomes a forwarding stub, so
   // existing references stay valid but pay an extra hop, and the physical
   // organization is destroyed.
+  RecordFile* home = File(canonical.file_id);
   std::span<const uint8_t> old_rec;
   TB_ASSIGN_OR_RETURN(old_rec, home->Read(canonical));
   ObjectView old_view(old_rec, nullptr, string_mode_);
-  uint8_t old_capacity = old_view.index_capacity();
-  uint8_t new_capacity = static_cast<uint8_t>(
-      old_capacity + object_layout::kDefaultIndexCapacity);
-
-  // Rebuild the record with the same body but a larger header.
-  size_t old_header = object_layout::HeaderSize(old_capacity);
-  std::vector<uint8_t> grown(object_layout::HeaderSize(new_capacity) +
-                             (old_rec.size() - old_header));
-  std::copy(old_rec.begin(),
-            old_rec.begin() + object_layout::kFixedHeaderSize, grown.begin());
-  grown[3] = new_capacity;
-  // Copy existing index ids.
-  std::copy(old_rec.begin() + object_layout::kFixedHeaderSize,
-            old_rec.begin() + old_header,
-            grown.begin() + object_layout::kFixedHeaderSize);
-  // Copy the attribute body.
-  std::copy(old_rec.begin() + old_header, old_rec.end(),
-            grown.begin() + object_layout::HeaderSize(new_capacity));
+  const uint16_t class_id = old_view.class_id();
+  std::vector<uint8_t> grown = object_layout::GrowIndexHeader(
+      old_rec, static_cast<uint8_t>(old_view.index_capacity() +
+                                    object_layout::kDefaultIndexCapacity));
   Status add = object_layout::AddIndexIdAt(grown, index_id);
   TB_CHECK(add.ok());
 
@@ -546,7 +483,6 @@ Result<Rid> ObjectStore::AddIndexRef(const Rid& rid, uint32_t index_id) {
   has_relocations_ = true;
   Rid new_rid;
   TB_ASSIGN_OR_RETURN(new_rid, home->Append(grown));
-  uint16_t class_id = old_view.class_id();
   std::vector<uint8_t> stub = object_layout::EncodeForward(class_id, new_rid);
   TB_RETURN_IF_ERROR(home->Update(canonical, stub));
   ht_->alias[canonical.Packed()] = new_rid.Packed();
@@ -568,9 +504,8 @@ Result<std::vector<uint32_t>> ObjectStore::GetIndexIds(const Rid& rid) {
 
 Status ObjectStore::RemoveIndexRef(const Rid& rid, uint32_t index_id) {
   Rid canonical;
-  TB_RETURN_IF_ERROR(ReadRecord(rid, &canonical).status());
   std::span<uint8_t> rec;
-  TB_ASSIGN_OR_RETURN(rec, File(canonical.file_id)->ReadMutable(canonical));
+  TB_ASSIGN_OR_RETURN(rec, MutableRecord(rid, &canonical));
   object_layout::RemoveIndexIdAt(rec, index_id);
   return Status::OK();
 }

@@ -55,6 +55,10 @@ struct CreateOptions {
 /// index-header growth path.
 class ObjectStore {
  public:
+  /// Most records one forwarding walk reads: an object behind this many
+  /// stubs or more reads as Corruption.
+  static constexpr int kMaxForwardHops = 8;
+
   ObjectStore(Schema* schema, TwoLevelCache* cache, SimContext* sim,
               StringStorage string_mode = StringStorage::kInline,
               double fill_factor = 0.9, uint64_t handle_arena_bytes = 0);
@@ -203,9 +207,33 @@ class ObjectStore {
   void ResetFileCursors();
 
  private:
-  /// Reads the object record, following forwards; returns the canonical
-  /// rid in *canonical.
-  Result<std::span<const uint8_t>> ReadRecord(const Rid& rid, Rid* canonical);
+  /// Reads the object record, following forwards (at most kMaxForwardHops
+  /// records are read); returns the canonical rid in *canonical. With
+  /// `delete_stubs`, each stub is deleted once its target is read off it.
+  Result<std::span<const uint8_t>> ReadRecord(const Rid& rid, Rid* canonical,
+                                              bool delete_stubs = false);
+
+  /// The canonical record of `rid` (returned in *canonical), writable in
+  /// place.
+  Result<std::span<uint8_t>> MutableRecord(const Rid& rid, Rid* canonical);
+
+  /// The class a record's header names.
+  const ClassDef& RecordClass(std::span<const uint8_t> rec) const;
+
+  /// One handle grant, shared by Get and GetBatch: re-references the
+  /// resident handle of `rid` (through its alias when the object was
+  /// relocated) or materializes a fresh one and then calls `on_fresh`,
+  /// which charges it (per handle in Get, as one grouped grab in GetBatch).
+  template <typename OnFresh>
+  Result<ObjectHandle*> Grant(const Rid& rid, OnFresh&& on_fresh);
+
+  /// One attribute read, shared by the Get* accessors: reads the handle's
+  /// record through the cache, charges one attribute access and returns
+  /// `decode` applied to a view of the record. The page is re-touched on
+  /// every read, so an evicted page faults again: objects are not pinned
+  /// while a handle exists, as in O2's swappable client cache.
+  template <typename Decode>
+  auto ReadAttr(ObjectHandle* h, Decode&& decode);
 
   Result<object_layout::StoredField> ToStoredField(const AttrDef& attr,
                                                    const Value& v,

@@ -8,17 +8,6 @@
 
 namespace treebench {
 
-namespace {
-
-IndexInfo* FindIndexById(Database* db, uint32_t id) {
-  for (const auto& idx : db->indexes()) {
-    if (idx->id == id) return idx.get();
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 Reorganizer::Reorganizer(Database* db, TxnManager* txns, HeatTracker* heat,
                          uint32_t client_id)
     : ctx(db->cache().config().client_pages()),
@@ -167,7 +156,7 @@ Status Reorganizer::MigrateGroup(const Rid& parent, uint32_t* budget,
       std::vector<uint32_t> ids;
       TB_ASSIGN_OR_RETURN(ids, store.GetIndexIds(old));
       for (uint32_t id : ids) {
-        IndexInfo* idx = FindIndexById(db_, id);
+        IndexInfo* idx = db_->IndexById(id);
         if (idx == nullptr) continue;
         const int64_t key = AsInt(data[idx->attr]);
         TB_RETURN_IF_ERROR(idx->tree->Remove(key, old));
@@ -218,7 +207,7 @@ Status Reorganizer::MigrateGroup(const Rid& parent, uint32_t* budget,
     }
     for (const Moved& m : moved) {
       for (const auto& [id, key] : m.index_keys) {
-        IndexInfo* idx = FindIndexById(db_, id);
+        IndexInfo* idx = db_->IndexById(id);
         if (idx == nullptr) continue;
         Rid canonical;
         TB_ASSIGN_OR_RETURN(canonical, store.AddIndexRef(m.new_rid, id));

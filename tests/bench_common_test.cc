@@ -152,6 +152,18 @@ TEST(OrDieTest, ThrowsInsideACell) {
   std::fclose(capture);
 }
 
+TEST(ExportStatsDeathTest, AFailedExportExitsOneWithFatal) {
+  const std::string missing_dir = testing::TempDir() + "no/such/dir/";
+  BenchOptions csv;
+  csv.csv_path = missing_dir + "stats.csv";
+  EXPECT_EXIT(ExportStats(StatStore(), csv), testing::ExitedWithCode(1),
+              "FATAL: csv export: Internal: cannot open ");
+  BenchOptions json;
+  json.stats_json_path = missing_dir + "stats.json";
+  EXPECT_EXIT(ExportStats(StatStore(), json), testing::ExitedWithCode(1),
+              "FATAL: stats json export: Internal: cannot open ");
+}
+
 /// SameReport's stdout line, captured through SetThreadOut.
 std::string SameReportLine(const WorkloadReport& a, const WorkloadReport& b,
                            bool* same) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/objects/schema.h"
 
 namespace treebench {
@@ -10,6 +12,7 @@ namespace {
 using object_layout::AddIndexIdAt;
 using object_layout::Encode;
 using object_layout::EncodeForward;
+using object_layout::GrowIndexHeader;
 using object_layout::ObjectView;
 using object_layout::RemoveIndexIdAt;
 using object_layout::StoredField;
@@ -118,6 +121,34 @@ TEST_F(ObjectLayoutTest, RemoveIndexIdShiftsRemainder) {
   EXPECT_EQ(view.index_id(1), 3u);
   RemoveIndexIdAt(rec, 99);  // absent: no-op
   EXPECT_EQ(view.index_count(), 2);
+}
+
+TEST_F(ObjectLayoutTest, GrowIndexHeaderKeepsIdsAndBodyAndAddsFreeSlots) {
+  auto rec = EncodePatient(StringStorage::kInline, 2);
+  ASSERT_TRUE(AddIndexIdAt(rec, 4).ok());
+  ASSERT_TRUE(AddIndexIdAt(rec, 9).ok());
+  ASSERT_TRUE(AddIndexIdAt(rec, 11).IsResourceExhausted());
+
+  std::vector<uint8_t> grown = GrowIndexHeader(rec, 10);
+  EXPECT_EQ(grown.size(), rec.size() + 8);
+  const ClassDef& cls = schema_.GetClass(patient_id_);
+  ObjectView view(grown, &cls, StringStorage::kInline);
+  EXPECT_EQ(view.class_id(), patient_id_);
+  EXPECT_FALSE(view.IsForward());
+  EXPECT_EQ(view.index_capacity(), 10);
+  ASSERT_EQ(view.index_count(), 2);
+  EXPECT_EQ(view.index_id(0), 4u);
+  EXPECT_EQ(view.index_id(1), 9u);
+  EXPECT_EQ(view.GetInlineString(0), "daisy duck");
+  EXPECT_EQ(view.GetInt32(1), 12345);
+  EXPECT_EQ(view.GetChar(3), 'f');
+  EXPECT_EQ(view.GetSetRid(5), Rid(2, 5, 1));
+  // The grown slots are free: the id that did not fit now does.
+  EXPECT_TRUE(AddIndexIdAt(grown, 11).ok());
+  EXPECT_EQ(view.index_count(), 3);
+  EXPECT_EQ(view.index_id(2), 11u);
+  // The body sits after the new header, byte for byte.
+  EXPECT_TRUE(std::equal(rec.begin() + 7, rec.end(), grown.begin() + 15));
 }
 
 TEST_F(ObjectLayoutTest, ForwardStub) {

@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -297,22 +298,76 @@ TEST_F(ObjectStoreTest, AttributeCountMismatchRejected) {
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 
+TEST_F(ObjectStoreTest, DeleteRecordThroughAStubDeletesBothAndDropsTheAlias) {
+  Init();
+  const Rid old_rid = NewPatient("a", 1, 10);
+  const Rid moved = store_->AddIndexRef(old_rid, 3).value();
+  ASSERT_NE(moved, old_rid);
+  const HandleTable& table = *store_->bound_handle_table();
+  ObjectHandle* h = store_->Get(old_rid).value();
+  EXPECT_EQ(h->rid, moved);
+  store_->Unref(h);
+  ASSERT_EQ(table.alias.count(old_rid.Packed()), 1u);
+
+  ASSERT_TRUE(store_->DeleteRecord(old_rid).ok());
+  EXPECT_FALSE(store_->File(file_)->Read(old_rid).ok());  // the stub
+  EXPECT_FALSE(store_->File(file_)->Read(moved).ok());    // the record
+  EXPECT_EQ(table.alias.count(old_rid.Packed()), 0u);
+  EXPECT_EQ(store_->resident_handles(), 0u);
+  EXPECT_FALSE(store_->Get(old_rid).ok());
+}
+
+TEST_F(ObjectStoreTest, ForwardingChainsPastTheHopBoundAreCorrupt) {
+  Init();
+  // A record behind `stubs` forwarding stubs; returns the chain's head.
+  auto chain = [&](int stubs) {
+    Rid head = NewPatient("a", 7, 10);
+    for (int i = 0; i < stubs; ++i) {
+      head = store_->File(file_)
+                 ->Append(object_layout::EncodeForward(patient_id_, head))
+                 .value();
+    }
+    return head;
+  };
+  // The record is the bound-th read: still followed, by both walks.
+  const Rid longest = chain(ObjectStore::kMaxForwardHops - 1);
+  ObjectHandle* h = store_->Get(longest).value();
+  EXPECT_EQ(*store_->GetInt32(h, 1), 7);
+  store_->Unref(h);
+  EXPECT_TRUE(store_->DeleteRecord(longest).ok());
+
+  const Rid too_long = chain(ObjectStore::kMaxForwardHops);
+  EXPECT_TRUE(store_->Get(too_long).status().IsCorruption());
+  EXPECT_TRUE(store_->DeleteRecord(too_long).IsCorruption());
+}
+
 // Reference model of delayed handle destruction: resident refcounts plus a
 // FIFO zombie deque that keeps stale and duplicate keys, collected down to
-// half the arena whenever a fresh handle overflows it.
+// half the arena whenever a grant leaves the arena overflowed: after each
+// fresh Get, and once after every GetBatch. It also counts what a grant
+// charges: handle_gets for a fresh handle, handle_lookups for a
+// re-reference.
 struct ZombieModel {
   uint64_t bytes;
   uint64_t arena;
   std::map<uint64_t, uint32_t> resident;
   std::deque<uint64_t> zombies;
+  uint64_t gets = 0;
+  uint64_t lookups = 0;
 
-  void Get(uint64_t key) {
+  /// One reference on `key`; true when the handle is fresh.
+  bool Acquire(uint64_t key) {
     auto it = resident.find(key);
     if (it != resident.end()) {
       ++it->second;
-      return;
+      ++lookups;
+      return false;
     }
     resident[key] = 1;
+    ++gets;
+    return true;
+  }
+  void Collect() {
     if (resident.size() * bytes <= arena) return;
     size_t target = arena / bytes / 2;
     while (!zombies.empty() && resident.size() > target) {
@@ -320,6 +375,13 @@ struct ZombieModel {
       zombies.pop_front();
       if (z != resident.end() && z->second == 0) resident.erase(z);
     }
+  }
+  void Get(uint64_t key) {
+    if (Acquire(key)) Collect();
+  }
+  void GetBatch(const std::vector<uint64_t>& keys) {
+    for (uint64_t key : keys) Acquire(key);
+    Collect();
   }
   void Unref(uint64_t key) {
     if (--resident.at(key) == 0) zombies.push_back(key);
@@ -333,64 +395,126 @@ TEST_F(ObjectStoreTest, ArenaCollectionFollowsTheFifoZombieModel) {
   HandleTable table;
   store_->BindHandleTable(&table);
   // Five times as many objects as the arena holds handles; mrn = index.
-  std::vector<Rid> all;
+  // Every fourth is relocated behind a forwarding stub and answers to its
+  // old rid as well as its canonical one.
+  std::vector<Rid> all;  // canonical rids
   for (int i = 0; i < 40; ++i) all.push_back(NewPatient("p", i, 20));
-  std::vector<Rid> live = all;
+  std::map<size_t, Rid> stub_of;
+  for (size_t i = 0; i < all.size(); i += 4) {
+    stub_of[i] = all[i];
+    all[i] = store_->AddIndexRef(all[i], 1).value();
+    ASSERT_NE(all[i], stub_of[i]);
+  }
+  // Forget the aliases the relocations recorded: grants must find each
+  // stub by following it.
+  store_->DropAllHandles();
+  ASSERT_TRUE(table.alias.empty());
+  auto rid_of = [&](size_t i, bool via_stub) {
+    auto s = stub_of.find(i);
+    return via_stub && s != stub_of.end() ? s->second : all[i];
+  };
+
+  std::vector<size_t> live(all.size());
+  for (size_t i = 0; i < live.size(); ++i) live[i] = i;
   ZombieModel model{bytes, 8 * bytes, {}, {}};
   std::vector<ObjectHandle*> held;
 
   auto check = [&] {
     ASSERT_EQ(store_->resident_handles(), model.resident.size());
     ASSERT_EQ(sim_.handle_bytes(), model.resident.size() * bytes);
+    ASSERT_EQ(sim_.metrics().handle_gets, model.gets);
+    ASSERT_EQ(sim_.metrics().handle_lookups, model.lookups);
     for (const Rid& r : all) {
       ASSERT_EQ(table.handles.Find(r.Packed()) != nullptr,
                 model.resident.count(r.Packed()) == 1)
           << r.ToString();
     }
   };
-  auto get = [&](const Rid& r) {
-    ObjectHandle* h = store_->Get(r).value();
-    model.Get(r.Packed());
-    EXPECT_EQ(h->rid, r);
-    EXPECT_EQ(*store_->GetInt32(h, 1),
-              std::find(all.begin(), all.end(), r) - all.begin());
+  auto hold = [&](ObjectHandle* h, size_t i) {
+    EXPECT_EQ(h->rid, all[i]);
+    EXPECT_EQ(*store_->GetInt32(h, 1), static_cast<int32_t>(i));
     held.push_back(h);
+  };
+  auto get = [&](size_t i, bool via_stub) {
+    ObjectHandle* h = store_->Get(rid_of(i, via_stub)).value();
+    model.Get(all[i].Packed());
+    hold(h, i);
+  };
+  // Batch entries are (object, via its stub); repeats are allowed.
+  auto get_batch = [&](const std::vector<std::pair<size_t, bool>>& picks) {
+    std::vector<Rid> rids;
+    std::vector<uint64_t> keys;
+    for (const auto& [i, via_stub] : picks) {
+      rids.push_back(rid_of(i, via_stub));
+      keys.push_back(all[i].Packed());
+    }
+    std::vector<ObjectHandle*> hs = store_->GetBatch(rids).value();
+    model.GetBatch(keys);
+    ASSERT_EQ(hs.size(), picks.size());
+    for (size_t k = 0; k < hs.size(); ++k) hold(hs[k], picks[k].first);
   };
   auto unref = [&](ObjectHandle* h) {
     model.Unref(h->rid.Packed());
     store_->Unref(h);
     held.erase(std::find(held.begin(), held.end(), h));
   };
-  auto remove = [&](const Rid& r) {
-    ASSERT_TRUE(store_->DeleteRecord(r).ok());
-    model.Delete(r.Packed());
-    live.erase(std::find(live.begin(), live.end(), r));
+  auto remove = [&](size_t i) {
+    ASSERT_TRUE(store_->DeleteRecord(rid_of(i, /*via_stub=*/true)).ok());
+    model.Delete(all[i].Packed());
+    live.erase(std::find(live.begin(), live.end(), i));
   };
 
   // A zombie resurrected and parked again sits twice in the deque.
-  get(all[0]);
+  get(1, false);
   unref(held.back());
-  get(all[0]);
+  get(1, false);
   unref(held.back());
   ASSERT_EQ(table.zombies.size(), 2u);
   // Deleting a resident zombie leaves a stale deque entry behind.
-  get(all[1]);
+  get(2, false);
   unref(held.back());
-  remove(all[1]);
+  remove(2);
+  check();
+  // Both alias branches: a stub whose object is resident under its
+  // canonical rid re-references it; one whose object is not materializes
+  // it. Either way the alias is recorded for the next grant.
+  get(0, false);
+  get(0, true);
+  get(4, true);
+  EXPECT_EQ(table.alias.size(), 2u);
+  get_batch({{8, true}, {8, false}, {0, true}, {12, true}});
+  check();
+  while (!held.empty()) unref(held.back());
   check();
 
   Lrand48 rng(17);
+  auto pick = [&] { return live[rng.Uniform(live.size())]; };
   for (int op = 0; op < 4000; ++op) {
     uint64_t kind = rng.Uniform(100);
-    if (kind < 50 || held.empty()) {
-      get(live[rng.Uniform(live.size())]);
-    } else if (kind < 98) {
+    if (kind < 25 || held.empty()) {
+      get(pick(), rng.Uniform(2) == 0);
+    } else if (kind < 50) {
+      std::vector<std::pair<size_t, bool>> picks;
+      for (uint64_t n = 1 + rng.Uniform(4); n > 0; --n) {
+        picks.emplace_back(pick(), rng.Uniform(2) == 0);
+      }
+      get_batch(picks);
+    } else if (kind < 74) {
       unref(held[rng.Uniform(held.size())]);
+    } else if (kind < 98) {
+      std::vector<ObjectHandle*> batch;
+      for (uint64_t n = 1 + rng.Uniform(4); n > 0 && !held.empty(); --n) {
+        std::swap(held[rng.Uniform(held.size())], held.back());
+        batch.push_back(held.back());
+        held.pop_back();
+      }
+      for (ObjectHandle* h : batch) model.Unref(h->rid.Packed());
+      store_->UnrefBatch(batch);
     } else if (live.size() > 10) {
       // Delete an object no caller holds, resident or not.
-      const Rid r = live[rng.Uniform(live.size())];
-      ObjectHandle* h = table.handles.Find(r.Packed());
-      if (h == nullptr || h->refcount == 0) remove(r);
+      const size_t i = pick();
+      ObjectHandle* h = table.handles.Find(all[i].Packed());
+      if (h == nullptr || h->refcount == 0) remove(i);
     }
     check();
   }
