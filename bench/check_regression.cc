@@ -20,21 +20,8 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/artifact.h"
 #include "src/telemetry/regression.h"
-
-namespace {
-
-bool ReadFile(const char* path, std::string* out) {
-  FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const char* baseline_path = nullptr;
@@ -65,23 +52,24 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string baseline_text, current_text;
-  if (!ReadFile(baseline_path, &baseline_text)) {
-    std::fprintf(stderr, "cannot read %s\n", baseline_path);
+  auto baseline_text = treebench::ReadFile(baseline_path);
+  if (!baseline_text.ok()) {
+    std::fprintf(stderr, "%s\n", baseline_text.status().message().c_str());
     return 2;
   }
-  if (!ReadFile(current_path, &current_text)) {
-    std::fprintf(stderr, "cannot read %s\n", current_path);
+  auto current_text = treebench::ReadFile(current_path);
+  if (!current_text.ok()) {
+    std::fprintf(stderr, "%s\n", current_text.status().message().c_str());
     return 2;
   }
 
-  auto baseline = treebench::telemetry::ParseFlatJson(baseline_text);
+  auto baseline = treebench::telemetry::ParseFlatJson(*baseline_text);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s: %s\n", baseline_path,
                  baseline.status().ToString().c_str());
     return 2;
   }
-  auto current = treebench::telemetry::ParseFlatJson(current_text);
+  auto current = treebench::telemetry::ParseFlatJson(*current_text);
   if (!current.ok()) {
     std::fprintf(stderr, "%s: %s\n", current_path,
                  current.status().ToString().c_str());
@@ -93,14 +81,12 @@ int main(int argc, char** argv) {
   std::printf("%s", result.report.c_str());
   if (json_path != nullptr) {
     // Machine-readable diff for CI annotation, written pass or fail.
-    FILE* f = std::fopen(json_path, "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
+    const treebench::Status written =
+        treebench::WriteFile(json_path, result.DiffJson());
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.message().c_str());
       return 2;
     }
-    const std::string diff = result.DiffJson();
-    std::fwrite(diff.data(), 1, diff.size(), f);
-    std::fclose(f);
   }
   if (!result.ok) {
     std::fprintf(stderr, "check_regression: %d of %d keys out of bounds\n",

@@ -13,6 +13,7 @@
 #endif
 
 #include "common/cell_harness.h"
+#include "src/common/artifact.h"
 
 namespace treebench::bench {
 
@@ -54,28 +55,33 @@ void WritePerfJson() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     g_perf_start)
           .count();
-  FILE* f = std::fopen(g_perf_json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "perf json export failed: cannot write %s\n",
-                 g_perf_json_path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"wall_seconds\": %.3f,\n  \"peak_rss_kb\": %ld",
-               wall, PeakRssKb());
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "{\n  \"wall_seconds\": %.3f,\n  \"peak_rss_kb\": %ld", wall,
+                PeakRssKb());
+  std::string out = buf;
   if (g_harness_perf.recorded) {
-    std::fprintf(f, ",\n  \"jobs\": %u,\n  \"cells\": %zu",
-                 g_harness_perf.jobs, g_harness_perf.cells.size());
-    std::fprintf(f, ",\n  \"pool_occupancy\": %.3f", g_harness_perf.occupancy);
-    std::fprintf(f, ",\n  \"cell_wall_seconds\": {");
+    std::snprintf(buf, sizeof(buf),
+                  ",\n  \"jobs\": %u,\n  \"cells\": %zu,\n"
+                  "  \"pool_occupancy\": %.3f,\n  \"cell_wall_seconds\": {",
+                  g_harness_perf.jobs, g_harness_perf.cells.size(),
+                  g_harness_perf.occupancy);
+    out += buf;
     for (size_t i = 0; i < g_harness_perf.cells.size(); ++i) {
       const CellRunner::CellResult& c = g_harness_perf.cells[i];
-      std::fprintf(f, "%s\n    \"%s\": %.3f", i == 0 ? "" : ",",
-                   c.label.c_str(), c.wall_seconds);
+      std::snprintf(buf, sizeof(buf), "%.3f", c.wall_seconds);
+      out += (i == 0 ? "\n    \"" : ",\n    \"") + JsonEscape(c.label) +
+             "\": " + buf;
     }
-    std::fprintf(f, "\n  }");
+    out += "\n  }";
   }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
+  out += "\n}\n";
+  if (!WriteTextFile(g_perf_json_path, out)) {
+    // Runs at exit, where exit() may not be called again: flush what the
+    // bench printed, then leave with the failure status.
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
 }
 
 }  // namespace
@@ -137,12 +143,9 @@ uint32_t UintFlag(int argc, char** argv, const char* prefix) {
 }
 
 bool WriteTextFile(const std::string& path, const std::string& content) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  bool ok = f != nullptr &&
-            std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  if (f != nullptr && std::fclose(f) != 0) ok = false;
-  if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
-  return ok;
+  const Status s = WriteFile(path, content);
+  if (!s.ok()) std::fprintf(stderr, "%s\n", s.message().c_str());
+  return s.ok();
 }
 
 void RecordHarnessPerf(const CellRunner& runner) {

@@ -214,6 +214,20 @@ Result<std::unique_ptr<DerbyDb>> BuildDerby(const DerbyConfig& config) {
     return Status::OK();
   };
 
+  // Sets each provider's clients from groups[i], once every patient exists.
+  auto fill_clients_sets = [&]() -> Status {
+    for (uint64_t i = 0; i < num_providers; ++i) {
+      if (groups[i].empty()) continue;
+      std::vector<Rid> clients;
+      clients.reserve(groups[i].size());
+      for (uint32_t m : groups[i]) clients.push_back(patient_rids[m]);
+      TB_RETURN_IF_ERROR(db.store().SetRefSet(provider_rids[i],
+                                              meta.p_clients, clients,
+                                              overflow_file));
+    }
+    return Status::OK();
+  };
+
   switch (config.clustering) {
     case ClusteringStrategy::kClassClustered: {
       // All providers (creation order = upin), then all patients (creation
@@ -226,15 +240,7 @@ Result<std::unique_ptr<DerbyDb>> BuildDerby(const DerbyConfig& config) {
       for (uint64_t m = 0; m < num_patients; ++m) {
         TB_RETURN_IF_ERROR(create_patient(m, provider_rids[owner[m]]));
       }
-      for (uint64_t i = 0; i < num_providers; ++i) {
-        if (groups[i].empty()) continue;
-        std::vector<Rid> clients;
-        clients.reserve(groups[i].size());
-        for (uint32_t m : groups[i]) clients.push_back(patient_rids[m]);
-        TB_RETURN_IF_ERROR(db.store().SetRefSet(provider_rids[i],
-                                                meta.p_clients, clients,
-                                                overflow_file));
-      }
+      TB_RETURN_IF_ERROR(fill_clients_sets());
       break;
     }
     case ClusteringStrategy::kAssociationOrdered: {
@@ -248,15 +254,7 @@ Result<std::unique_ptr<DerbyDb>> BuildDerby(const DerbyConfig& config) {
           TB_RETURN_IF_ERROR(create_patient(m, provider_rids[i]));
         }
       }
-      for (uint64_t i = 0; i < num_providers; ++i) {
-        if (groups[i].empty()) continue;
-        std::vector<Rid> clients;
-        clients.reserve(groups[i].size());
-        for (uint32_t m : groups[i]) clients.push_back(patient_rids[m]);
-        TB_RETURN_IF_ERROR(db.store().SetRefSet(provider_rids[i],
-                                                meta.p_clients, clients,
-                                                overflow_file));
-      }
+      TB_RETURN_IF_ERROR(fill_clients_sets());
       break;
     }
     case ClusteringStrategy::kComposition: {
@@ -304,15 +302,7 @@ Result<std::unique_ptr<DerbyDb>> BuildDerby(const DerbyConfig& config) {
         TB_RETURN_IF_ERROR(db.store().SetRef(patient_rids[m], meta.c_pcp,
                                              provider_rids[owner[m]]));
       }
-      for (uint64_t i = 0; i < num_providers; ++i) {
-        if (groups[i].empty()) continue;
-        std::vector<Rid> clients;
-        clients.reserve(groups[i].size());
-        for (uint32_t m : groups[i]) clients.push_back(patient_rids[m]);
-        TB_RETURN_IF_ERROR(db.store().SetRefSet(provider_rids[i],
-                                                meta.p_clients, clients,
-                                                overflow_file));
-      }
+      TB_RETURN_IF_ERROR(fill_clients_sets());
       break;
     }
   }

@@ -44,12 +44,6 @@ uint32_t TwoLevelCache::ServerCachePages() const {
   return total;
 }
 
-uint32_t TwoLevelCache::ServerCacheCapacity() const {
-  uint32_t total = 0;
-  for (const auto& s : shards_) total += s->cache.capacity();
-  return total;
-}
-
 Status TwoLevelCache::Reconfigure(const PlacementOptions& opts) {
   TB_RETURN_IF_ERROR(PlacementMap::Validate(opts));
   // Same placement: keep everything warm and charge nothing — this is what

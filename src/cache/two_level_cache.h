@@ -171,7 +171,6 @@ class TwoLevelCache {
   uint32_t ClientCachePages() const { return client_->size(); }
   uint32_t ClientCacheCapacity() const { return client_->capacity(); }
   uint32_t ServerCachePages() const;
-  uint32_t ServerCacheCapacity() const;
 
   // ---- Sharded page service (docs/replication_model.md) ----
   const PlacementMap& placement() const { return placement_; }

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "src/common/artifact.h"
+
 namespace treebench {
 
 // Keeps the table in sync with the struct: adding a counter without listing
@@ -79,6 +81,21 @@ constexpr std::array<MetricsField, kNumMetricsFields> kFields = {{
 
 const std::array<MetricsField, kNumMetricsFields>& MetricsFieldTable() {
   return kFields;
+}
+
+std::string MetricsJsonMembers(const Metrics& m, JsonSpacing spacing) {
+  const bool spaced = spacing == JsonSpacing::kSpaced;
+  std::string out;
+  for (const MetricsField& f : MetricsFieldTable()) {
+    const uint64_t v = m.*(f.member);
+    if (v == 0) continue;
+    if (!out.empty()) out += spaced ? ", " : ",";
+    out += '"';
+    out += f.name;
+    out += spaced ? "\": " : "\":";
+    out += FormatUint(v);
+  }
+  return out;
 }
 
 Metrics Metrics::Diff(const Metrics& since) const {

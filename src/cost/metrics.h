@@ -26,6 +26,16 @@ struct MetricsField {
 inline constexpr std::size_t kNumMetricsFields = 61;
 const std::array<MetricsField, kNumMetricsFields>& MetricsFieldTable();
 
+/// Member spacing of MetricsJsonMembers: `"name": v` joined by ", " (the
+/// workload report and the EXPLAIN trace) or `"name":v` joined by "," (the
+/// query log and its trace-slice args).
+enum class JsonSpacing { kSpaced, kCompact };
+
+/// The non-zero counters of `m` as JSON object members in MetricsFieldTable
+/// order, without braces; "" when every counter is zero. Every artifact that
+/// embeds a Metrics object omits zero counters this way.
+std::string MetricsJsonMembers(const Metrics& m, JsonSpacing spacing);
+
 /// Raw event counters accumulated during a run. These are the quantities the
 /// paper's Stat schema records (Figure 3): disk-to-server-cache reads, RPCs,
 /// client-cache page faults, etc., plus the CPU-side events the paper's

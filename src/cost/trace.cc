@@ -3,18 +3,14 @@
 #include <cassert>
 #include <cstdio>
 
+#include "src/common/artifact.h"
+
 namespace treebench {
 
 Metrics TraceNode::SelfMetrics() const {
   Metrics sum;
   for (const auto& child : children) sum += child->metrics;
   return metrics.Diff(sum);
-}
-
-double TraceNode::SelfSeconds() const {
-  double s = seconds;
-  for (const auto& child : children) s -= child->seconds;
-  return s;
 }
 
 const TraceNode* TraceNode::Find(std::string_view node_name) const {
@@ -129,34 +125,16 @@ void JsonNode(const TraceNode& node, int depth,
   std::string pad(static_cast<size_t>(depth) * 2, ' ');
   std::string pad2 = pad + "  ";
   *out += pad + "{\n";
-  // Names are engine-chosen ASCII (operator names, collection names); only
-  // quotes and backslashes could need escaping.
-  std::string escaped;
-  for (char c : node.name) {
-    if (c == '"' || c == '\\') escaped += '\\';
-    escaped += c;
-  }
-  *out += pad2 + "\"name\": \"" + escaped + "\",\n";
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"rows\": %llu,\n",
-                (unsigned long long)node.rows);
-  *out += pad2 + buf;
+  *out += pad2 + "\"name\": \"" + JsonEscape(node.name) + "\",\n";
+  *out += pad2 + "\"rows\": " + FormatUint(node.rows) + ",\n";
   if (opts.include_time) {
+    char buf[64];
     std::snprintf(buf, sizeof(buf), "\"time_ns\": %.3f,\n",
                   node.seconds * 1e9);
     *out += pad2 + buf;
   }
-  *out += pad2 + "\"metrics\": {";
-  bool first = true;
-  for (const MetricsField& f : MetricsFieldTable()) {
-    uint64_t v = node.metrics.*(f.member);
-    if (v == 0) continue;
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %llu", first ? "" : ", ",
-                  f.name, (unsigned long long)v);
-    *out += buf;
-    first = false;
-  }
-  *out += "},\n";
+  *out += pad2 + "\"metrics\": {" +
+          MetricsJsonMembers(node.metrics, JsonSpacing::kSpaced) + "},\n";
   *out += pad2 + "\"children\": [";
   if (node.children.empty()) {
     *out += "]\n";

@@ -33,7 +33,6 @@ struct TraceNode {
   /// (inclusive minus the sum of the children). Field-wise non-negative by
   /// construction: children are disjoint sub-intervals of the parent.
   Metrics SelfMetrics() const;
-  double SelfSeconds() const;
 
   /// Depth-first search for the first node named `name` (this node
   /// included); null when absent.

@@ -8,6 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/common/artifact.h"
+
 namespace treebench {
 
 namespace {
@@ -130,7 +132,7 @@ int CellRunner::Run(FILE* sink) {
           const Cell& cell = cells_[flushed];
           lock.unlock();
           if (sink != nullptr && !cell.log.empty()) {
-            std::fwrite(cell.log.data(), 1, cell.log.size(), sink);
+            WriteAll(sink, cell.log);
             std::fflush(sink);
           }
           lock.lock();

@@ -10,6 +10,31 @@ namespace treebench {
 
 namespace {
 
+/// The (extent position, rid) of each member of `col` whose `key_attr` lies
+/// in [lo, hi), or of every member when `unbounded`: an extent scan that
+/// reads each object's key and charges one compare for it.
+Result<std::vector<std::pair<uint64_t, Rid>>> ScanExtentMatches(
+    Database* db, PersistentCollection* col, size_t key_attr, int64_t lo,
+    int64_t hi, bool unbounded) {
+  std::vector<std::pair<uint64_t, Rid>> out;
+  ObjectStore& store = db->store();
+  auto it = col->Scan();
+  for (; it.Valid(); it.Next()) {
+    if (!unbounded) {
+      ObjectHandle* h = nullptr;
+      TB_ASSIGN_OR_RETURN(h, store.Get(it.rid()));
+      Result<int32_t> v = store.GetInt32(h, key_attr);
+      store.Unref(h);
+      if (!v.ok()) return v.status();
+      db->sim().ChargeCompare();
+      if (*v < lo || *v >= hi) continue;
+    }
+    out.emplace_back(it.index(), it.rid());
+  }
+  TB_RETURN_IF_ERROR(it.status());
+  return out;
+}
+
 /// Collects the rids of collection members whose `key_attr` lies in
 /// [lo, hi), through an index range scan when one exists on the attribute,
 /// else an extent scan with a per-object compare.
@@ -31,22 +56,11 @@ Result<std::vector<Rid>> CollectMatches(Database* db,
   }
   PersistentCollection* col = nullptr;
   TB_ASSIGN_OR_RETURN(col, db->GetCollection(collection));
-  ObjectStore& store = db->store();
-  auto it = col->Scan();
-  for (; it.Valid(); it.Next()) {
-    if (unbounded) {
-      out.push_back(it.rid());
-      continue;
-    }
-    ObjectHandle* h = nullptr;
-    TB_ASSIGN_OR_RETURN(h, store.Get(it.rid()));
-    Result<int32_t> v = store.GetInt32(h, key_attr);
-    store.Unref(h);
-    if (!v.ok()) return v.status();
-    db->sim().ChargeCompare();
-    if (*v >= lo && *v < hi) out.push_back(it.rid());
-  }
-  TB_RETURN_IF_ERROR(it.status());
+  std::vector<std::pair<uint64_t, Rid>> matches;
+  TB_ASSIGN_OR_RETURN(matches, ScanExtentMatches(db, col, key_attr, lo, hi,
+                                                 unbounded));
+  out.reserve(matches.size());
+  for (const auto& match : matches) out.push_back(match.second);
   return out;
 }
 
@@ -167,21 +181,8 @@ Result<DmlStats> RunDelete(Database* db, TxnManager* txns,
   // Victims come from the extent scan because delete needs extent
   // positions; an index could find the rids but not their slots.
   std::vector<std::pair<uint64_t, Rid>> victims;
-  auto it = col->Scan();
-  for (; it.Valid(); it.Next()) {
-    bool match = true;
-    if (!d.unbounded) {
-      ObjectHandle* h = nullptr;
-      TB_ASSIGN_OR_RETURN(h, store.Get(it.rid()));
-      Result<int32_t> v = store.GetInt32(h, d.key_attr);
-      store.Unref(h);
-      if (!v.ok()) return v.status();
-      db->sim().ChargeCompare();
-      match = *v >= d.lo && *v < d.hi;
-    }
-    if (match) victims.emplace_back(it.index(), it.rid());
-  }
-  TB_RETURN_IF_ERROR(it.status());
+  TB_ASSIGN_OR_RETURN(victims, ScanExtentMatches(db, col, d.key_attr, d.lo,
+                                                 d.hi, d.unbounded));
   out.matched = victims.size();
   // Back to front: SwapRemove moves the tail element, which never sits
   // before a yet-unprocessed victim when positions descend.

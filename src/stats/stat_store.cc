@@ -6,6 +6,8 @@
 #include <set>
 #include <tuple>
 
+#include "src/common/artifact.h"
+
 namespace treebench {
 
 void StatRecord::FillFrom(const Metrics& m, double seconds) {
@@ -88,55 +90,36 @@ std::vector<const StatRecord*> StatStore::WinnersByGroup() const {
 }
 
 Status StatStore::ExportCsv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  std::fprintf(f, "%s\n", StatRecord::CsvHeader().c_str());
-  for (const auto& r : records_) {
-    std::fprintf(f, "%s\n", r.ToCsvRow().c_str());
-  }
-  std::fclose(f);
-  return Status::OK();
+  std::string out = StatRecord::CsvHeader() + "\n";
+  for (const auto& r : records_) out += r.ToCsvRow() + "\n";
+  return WriteFile(path, out);
 }
 
 namespace {
 
-void AppendJsonString(std::string* out, const char* key,
-                      const std::string& value, bool* first) {
+void AppendMember(std::string* out, const char* key, const std::string& token,
+                  bool* first) {
   if (!*first) *out += ", ";
   *first = false;
   *out += '"';
   *out += key;
-  *out += "\": \"";
-  for (char c : value) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (c == '\n') {
-      *out += "\\n";
-    } else {
-      *out += c;
-    }
-  }
-  *out += '"';
+  *out += "\": ";
+  *out += token;
+}
+
+void AppendJsonString(std::string* out, const char* key,
+                      const std::string& value, bool* first) {
+  AppendMember(out, key, '"' + JsonEscape(value) + '"', first);
 }
 
 void AppendJsonNumber(std::string* out, const char* key, double value,
                       bool* first) {
-  if (!*first) *out += ", ";
-  *first = false;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\": %.9g", key, value);
-  *out += buf;
+  AppendMember(out, key, FormatNumber(value), first);
 }
 
 void AppendJsonU64(std::string* out, const char* key, uint64_t value,
                    bool* first) {
-  if (!*first) *out += ", ";
-  *first = false;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\": %llu", key,
-                static_cast<unsigned long long>(value));
-  *out += buf;
+  AppendMember(out, key, FormatUint(value), first);
 }
 
 }  // namespace
@@ -183,12 +166,7 @@ std::string StatStore::ToJson() const {
 }
 
 Status StatStore::ExportJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  const std::string json = ToJson();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return Status::OK();
+  return WriteFile(path, ToJson());
 }
 
 Status StatStore::ExportGnuplot(
@@ -202,25 +180,25 @@ Status StatStore::ExportGnuplot(
     algos.insert(r.algo);
     rows[r.selectivity_patients_pct][r.algo] = r.elapsed_seconds;
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  std::fprintf(f, "# sel_patients_pct");
-  for (const auto& a : algos) std::fprintf(f, " %s", a.c_str());
-  std::fprintf(f, "\n");
+  std::string out = "# sel_patients_pct";
+  for (const auto& a : algos) out += " " + a;
+  out += "\n";
+  char buf[64];
   for (const auto& [sel, cols] : rows) {
-    std::fprintf(f, "%g", sel);
+    std::snprintf(buf, sizeof(buf), "%g", sel);
+    out += buf;
     for (const auto& a : algos) {
       auto it = cols.find(a);
       if (it == cols.end()) {
-        std::fprintf(f, " -");
+        out += " -";
       } else {
-        std::fprintf(f, " %.2f", it->second);
+        std::snprintf(buf, sizeof(buf), " %.2f", it->second);
+        out += buf;
       }
     }
-    std::fprintf(f, "\n");
+    out += "\n";
   }
-  std::fclose(f);
-  return Status::OK();
+  return WriteFile(path, out);
 }
 
 }  // namespace treebench

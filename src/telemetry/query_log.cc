@@ -4,45 +4,47 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/common/artifact.h"
+
 namespace treebench::telemetry {
 
 namespace {
 
-void AppendNum(std::string* out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  *out += buf;
+void AppendNum(std::string* out, double v) { *out += FormatNumber(v); }
+
+void AppendNum(std::string* out, uint64_t v) { *out += FormatUint(v); }
+
+/// The latency split every query-log artifact carries: the four waits, the
+/// service remainder and the shard fan-out, as `,"name":value` members.
+void AppendLatencySplit(std::string* out, const QueryWaitBreakdown& w,
+                        double service_ns, uint32_t shards_touched) {
+  *out += ",\"rpc_queue_wait_ns\":";
+  AppendNum(out, w.rpc_queue_wait_ns);
+  *out += ",\"lock_wait_ns\":";
+  AppendNum(out, w.lock_wait_ns);
+  *out += ",\"failover_wait_ns\":";
+  AppendNum(out, w.failover_wait_ns);
+  *out += ",\"retry_backoff_ns\":";
+  AppendNum(out, w.retry_backoff_ns);
+  *out += ",\"service_ns\":";
+  AppendNum(out, service_ns);
+  *out += ",\"shards_touched\":";
+  AppendNum(out, uint64_t{shards_touched});
 }
 
-void AppendNum(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)v);
-  *out += buf;
-}
-
-/// The non-zero counters of a delta as `"name":value` pairs in
-/// MetricsFieldTable order (the same zero-omission rule as the workload
-/// report's metrics objects).
-void AppendDeltaFields(std::string* out, const Metrics& delta, bool* first) {
-  for (const MetricsField& f : MetricsFieldTable()) {
-    uint64_t v = delta.*(f.member);
-    if (v == 0) continue;
-    if (!*first) *out += ",";
-    *out += "\"";
-    *out += f.name;
-    *out += "\":";
-    AppendNum(out, v);
-    *first = false;
-  }
+/// `,"kind":"...","algo":"..."`.
+void AppendKindAlgo(std::string* out, const std::string& kind,
+                    const std::string& algo) {
+  *out += ",\"kind\":\"" + JsonEscape(kind) + "\",\"algo\":\"" +
+          JsonEscape(algo) + "\"";
 }
 
 void AppendRecordBody(std::string* out, const QueryRecord& r) {
-  const QueryWaitBreakdown w = WaitBreakdownOf(r.delta);
   *out += "\"client\":";
   AppendNum(out, uint64_t{r.client});
   *out += ",\"seq\":";
   AppendNum(out, r.seq);
-  *out += ",\"kind\":\"" + r.kind + "\",\"algo\":\"" + r.algo + "\"";
+  AppendKindAlgo(out, r.kind, r.algo);
   *out += ",\"measured\":";
   AppendNum(out, uint64_t{r.measured ? 1u : 0u});
   *out += ",\"outcome\":\"";
@@ -53,18 +55,8 @@ void AppendRecordBody(std::string* out, const QueryRecord& r) {
   AppendNum(out, r.end_ns);
   *out += ",\"latency_ns\":";
   AppendNum(out, r.latency_ns());
-  *out += ",\"rpc_queue_wait_ns\":";
-  AppendNum(out, w.rpc_queue_wait_ns);
-  *out += ",\"lock_wait_ns\":";
-  AppendNum(out, w.lock_wait_ns);
-  *out += ",\"failover_wait_ns\":";
-  AppendNum(out, w.failover_wait_ns);
-  *out += ",\"retry_backoff_ns\":";
-  AppendNum(out, w.retry_backoff_ns);
-  *out += ",\"service_ns\":";
-  AppendNum(out, r.ServiceNs());
-  *out += ",\"shards_touched\":";
-  AppendNum(out, uint64_t{r.shards_touched});
+  AppendLatencySplit(out, WaitBreakdownOf(r.delta), r.ServiceNs(),
+                     r.shards_touched);
   *out += ",\"reorg_overlap\":";
   AppendNum(out, uint64_t{r.reorg_overlap ? 1u : 0u});
 }
@@ -94,24 +86,13 @@ double QueryRecord::ServiceNs() const {
 }
 
 std::string SliceArgsJson(const QueryRecord& r) {
-  std::string out = "{";
-  const QueryWaitBreakdown w = WaitBreakdownOf(r.delta);
-  out += "\"algo\":\"" + r.algo + "\",\"outcome\":\"";
+  std::string out = "{\"algo\":\"" + JsonEscape(r.algo) + "\",\"outcome\":\"";
   out += r.Outcome();
-  out += "\",\"rpc_queue_wait_ns\":";
-  AppendNum(&out, w.rpc_queue_wait_ns);
-  out += ",\"lock_wait_ns\":";
-  AppendNum(&out, w.lock_wait_ns);
-  out += ",\"failover_wait_ns\":";
-  AppendNum(&out, w.failover_wait_ns);
-  out += ",\"retry_backoff_ns\":";
-  AppendNum(&out, w.retry_backoff_ns);
-  out += ",\"service_ns\":";
-  AppendNum(&out, r.ServiceNs());
-  out += ",\"shards_touched\":";
-  AppendNum(&out, uint64_t{r.shards_touched});
-  bool first = false;  // the fixed fields above already opened the object
-  AppendDeltaFields(&out, r.delta, &first);
+  out += "\"";
+  AppendLatencySplit(&out, WaitBreakdownOf(r.delta), r.ServiceNs(),
+                     r.shards_touched);
+  const std::string delta = MetricsJsonMembers(r.delta, JsonSpacing::kCompact);
+  if (!delta.empty()) out += "," + delta;
   out += "}";
   return out;
 }
@@ -136,10 +117,8 @@ std::string QueryLogRecorder::ToJsonl() const {
   for (const QueryRecord& r : records_) {
     out += "{";
     AppendRecordBody(&out, r);
-    out += ",\"delta\":{";
-    bool first = true;
-    AppendDeltaFields(&out, r.delta, &first);
-    out += "}}\n";
+    out += ",\"delta\":{" +
+           MetricsJsonMembers(r.delta, JsonSpacing::kCompact) + "}}\n";
   }
   return out;
 }
@@ -153,16 +132,19 @@ std::string QueryLogRecorder::ToCsv() const {
     const QueryWaitBreakdown w = WaitBreakdownOf(r.delta);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "%u,%llu,%s,%s,%u,%s,%.9g,%.9g,%.9g,%llu,%llu,%llu,%llu,"
-                  "%.9g,%u,%u,%llu,%llu\n",
+                  "%u,%llu,%s,%s,%u,%s,%s,%s,%s,%llu,%llu,%llu,%llu,"
+                  "%s,%u,%u,%llu,%llu\n",
                   r.client, (unsigned long long)r.seq, r.kind.c_str(),
                   r.algo.c_str(), r.measured ? 1u : 0u, r.Outcome(),
-                  r.start_ns, r.end_ns, r.latency_ns(),
+                  FormatNumber(r.start_ns).c_str(),
+                  FormatNumber(r.end_ns).c_str(),
+                  FormatNumber(r.latency_ns()).c_str(),
                   (unsigned long long)w.rpc_queue_wait_ns,
                   (unsigned long long)w.lock_wait_ns,
                   (unsigned long long)w.failover_wait_ns,
-                  (unsigned long long)w.retry_backoff_ns, r.ServiceNs(),
-                  r.shards_touched, r.reorg_overlap ? 1u : 0u,
+                  (unsigned long long)w.retry_backoff_ns,
+                  FormatNumber(r.ServiceNs()).c_str(), r.shards_touched,
+                  r.reorg_overlap ? 1u : 0u,
                   (unsigned long long)r.delta.disk_reads,
                   (unsigned long long)r.delta.rpc_count);
     out += buf;
@@ -271,7 +253,7 @@ std::string TailReport::ToJson() const {
   for (size_t i = 0; i < components.size(); ++i) {
     const Component& c = components[i];
     if (i > 0) out += ",";
-    out += "\"" + c.name + "\":{\"tail_mean_ns\":";
+    out += "\"" + JsonEscape(c.name) + "\":{\"tail_mean_ns\":";
     AppendNum(&out, c.tail_mean_ns);
     out += ",\"median_mean_ns\":";
     AppendNum(&out, c.median_mean_ns);
@@ -287,21 +269,10 @@ std::string TailReport::ToJson() const {
     AppendNum(&out, uint64_t{s.client});
     out += ",\"seq\":";
     AppendNum(&out, s.seq);
-    out += ",\"kind\":\"" + s.kind + "\",\"algo\":\"" + s.algo + "\"";
+    AppendKindAlgo(&out, s.kind, s.algo);
     out += ",\"latency_ns\":";
     AppendNum(&out, s.latency_ns);
-    out += ",\"rpc_queue_wait_ns\":";
-    AppendNum(&out, s.waits.rpc_queue_wait_ns);
-    out += ",\"lock_wait_ns\":";
-    AppendNum(&out, s.waits.lock_wait_ns);
-    out += ",\"failover_wait_ns\":";
-    AppendNum(&out, s.waits.failover_wait_ns);
-    out += ",\"retry_backoff_ns\":";
-    AppendNum(&out, s.waits.retry_backoff_ns);
-    out += ",\"service_ns\":";
-    AppendNum(&out, s.service_ns);
-    out += ",\"shards_touched\":";
-    AppendNum(&out, uint64_t{s.shards_touched});
+    AppendLatencySplit(&out, s.waits, s.service_ns, s.shards_touched);
     out += ",\"reorg_overlap\":";
     AppendNum(&out, uint64_t{s.reorg_overlap ? 1u : 0u});
     out += "}";

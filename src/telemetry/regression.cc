@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/artifact.h"
+
 namespace treebench::telemetry {
 
 const double* FlatRun::Find(const std::string& key) const {
@@ -26,11 +28,10 @@ void FlatRun::Set(const std::string& key, double value) {
 
 std::string FlatRun::ToJson() const {
   std::string out = "{\n";
-  char buf[64];
   for (size_t i = 0; i < entries.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.9g%s", entries[i].second,
-                  i + 1 < entries.size() ? "," : "");
-    out += "  \"" + entries[i].first + "\": " + buf + "\n";
+    out += "  \"" + JsonEscape(entries[i].first) +
+           "\": " + FormatNumber(entries[i].second) +
+           (i + 1 < entries.size() ? ",\n" : "\n");
   }
   out += "}\n";
   return out;
@@ -137,9 +138,9 @@ RegressionResult CompareRuns(const FlatRun& baseline, const FlatRun& current,
     ++res.keys_checked;
     if (got == nullptr) {
       std::snprintf(buf, sizeof(buf),
-                    "MISSING  %-44s baseline=%.9g (key absent from current "
+                    "MISSING  %-44s baseline=%s (key absent from current "
                     "run)\n",
-                    key.c_str(), want);
+                    key.c_str(), FormatNumber(want).c_str());
       res.report += buf;
       res.findings.push_back({"missing", key, want, 0, true, false});
       ++res.failures;
@@ -153,9 +154,10 @@ RegressionResult CompareRuns(const FlatRun& baseline, const FlatRun& current,
       const double rel = (*got - want) / denom;
       if (rel > opts.wall_tolerance) {
         std::snprintf(buf, sizeof(buf),
-                      "WALLCLK  %-44s baseline=%.9g current=%.9g (%+.2f%% "
+                      "WALLCLK  %-44s baseline=%s current=%s (%+.2f%% "
                       "slower, band %.1f%%)\n",
-                      key.c_str(), want, *got, 100.0 * rel,
+                      key.c_str(), FormatNumber(want).c_str(),
+                      FormatNumber(*got).c_str(), 100.0 * rel,
                       100.0 * opts.wall_tolerance);
         res.report += buf;
         res.findings.push_back({"wall_clock", key, want, *got, true, true});
@@ -166,9 +168,10 @@ RegressionResult CompareRuns(const FlatRun& baseline, const FlatRun& current,
       const double rel = std::fabs(*got - want) / denom;
       if (rel > opts.time_tolerance) {
         std::snprintf(buf, sizeof(buf),
-                      "DRIFT    %-44s baseline=%.9g current=%.9g (%+.2f%%, "
+                      "DRIFT    %-44s baseline=%s current=%s (%+.2f%%, "
                       "band %.1f%%)\n",
-                      key.c_str(), want, *got, 100.0 * (*got - want) / denom,
+                      key.c_str(), FormatNumber(want).c_str(),
+                      FormatNumber(*got).c_str(), 100.0 * (*got - want) / denom,
                       100.0 * opts.time_tolerance);
         res.report += buf;
         res.findings.push_back({"drift", key, want, *got, true, true});
@@ -176,9 +179,10 @@ RegressionResult CompareRuns(const FlatRun& baseline, const FlatRun& current,
       }
     } else if (*got != want) {
       std::snprintf(buf, sizeof(buf),
-                    "MISMATCH %-44s baseline=%.9g current=%.9g (counter must "
+                    "MISMATCH %-44s baseline=%s current=%s (counter must "
                     "match exactly)\n",
-                    key.c_str(), want, *got);
+                    key.c_str(), FormatNumber(want).c_str(),
+                    FormatNumber(*got).c_str());
       res.report += buf;
       res.findings.push_back({"mismatch", key, want, *got, true, true});
       ++res.failures;
@@ -187,9 +191,9 @@ RegressionResult CompareRuns(const FlatRun& baseline, const FlatRun& current,
   for (const auto& [key, value] : current.entries) {
     if (baseline.Find(key) == nullptr) {
       std::snprintf(buf, sizeof(buf),
-                    "NEW      %-44s current=%.9g (key absent from baseline — "
+                    "NEW      %-44s current=%s (key absent from baseline — "
                     "recommit it)\n",
-                    key.c_str(), value);
+                    key.c_str(), FormatNumber(value).c_str());
       res.report += buf;
       res.findings.push_back({"new", key, 0, value, false, true});
       ++res.failures;
@@ -219,19 +223,12 @@ std::string RegressionResult::DiffJson() const {
   for (size_t i = 0; i < findings.size(); ++i) {
     const RegressionFinding& f = findings[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"kind\": \"" + f.kind + "\", \"key\": \"" + f.key + "\"";
-    if (f.has_baseline) {
-      std::snprintf(buf, sizeof(buf), ", \"baseline\": %.9g", f.baseline);
-      out += buf;
-    }
-    if (f.has_current) {
-      std::snprintf(buf, sizeof(buf), ", \"current\": %.9g", f.current);
-      out += buf;
-    }
+    out += "    {\"kind\": \"" + f.kind + "\", \"key\": \"" +
+           JsonEscape(f.key) + "\"";
+    if (f.has_baseline) out += ", \"baseline\": " + FormatNumber(f.baseline);
+    if (f.has_current) out += ", \"current\": " + FormatNumber(f.current);
     if (f.has_baseline && f.has_current) {
-      std::snprintf(buf, sizeof(buf), ", \"delta\": %.9g",
-                    f.current - f.baseline);
-      out += buf;
+      out += ", \"delta\": " + FormatNumber(f.current - f.baseline);
     }
     out += "}";
   }

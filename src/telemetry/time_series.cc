@@ -1,6 +1,6 @@
 #include "src/telemetry/time_series.h"
 
-#include <cstdio>
+#include "src/common/artifact.h"
 
 namespace treebench::telemetry {
 
@@ -81,14 +81,9 @@ std::string TimeSeriesRecorder::ToCsv() const {
     out += c;
   }
   out += '\n';
-  char buf[48];
   for (size_t r = 0; r < rows_.size(); ++r) {
-    std::snprintf(buf, sizeof(buf), "%.9g", times_ns_[r] / 1e9);
-    out += buf;
-    for (double v : rows_[r]) {
-      std::snprintf(buf, sizeof(buf), ",%.9g", v);
-      out += buf;
-    }
+    out += FormatNumber(times_ns_[r] / 1e9);
+    for (double v : rows_[r]) out += "," + FormatNumber(v);
     out += '\n';
   }
   return out;
@@ -96,15 +91,11 @@ std::string TimeSeriesRecorder::ToCsv() const {
 
 std::string TimeSeriesRecorder::ToJsonl() const {
   std::string out;
-  char buf[96];
   for (size_t r = 0; r < rows_.size(); ++r) {
-    std::snprintf(buf, sizeof(buf), "{\"t_seconds\": %.9g",
-                  times_ns_[r] / 1e9);
-    out += buf;
+    out += "{\"t_seconds\": " + FormatNumber(times_ns_[r] / 1e9);
     for (size_t c = 0; c < columns_.size(); ++c) {
-      std::snprintf(buf, sizeof(buf), ", \"%s\": %.9g", columns_[c].c_str(),
-                    rows_[r][c]);
-      out += buf;
+      out += ", \"" + JsonEscape(columns_[c]) +
+             "\": " + FormatNumber(rows_[r][c]);
     }
     out += "}\n";
   }

@@ -4,21 +4,12 @@
 #include <cstdio>
 #include <utility>
 
+#include "src/common/artifact.h"
 #include "src/cost/trace.h"
 
 namespace treebench::telemetry {
 
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 /// Timestamps/durations in the trace-event format are microseconds. %.3f
 /// keeps exact nanosecond resolution in decimal (deterministic across
@@ -35,20 +26,20 @@ void ChromeTraceBuilder::SetProcessName(const std::string& name) {
   events_.push_back(
       "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
       "\"args\":{\"name\":\"" +
-      EscapeJson(name) + "\"}}");
+      JsonEscape(name) + "\"}}");
 }
 
 void ChromeTraceBuilder::SetThreadName(uint32_t tid, const std::string& name) {
   events_.push_back("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
                     ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-                    EscapeJson(name) + "\"}}");
+                    JsonEscape(name) + "\"}}");
 }
 
 void ChromeTraceBuilder::AddSlice(uint32_t tid, const std::string& name,
                                   double start_ns, double dur_ns,
                                   const std::string& args_json) {
   std::string ev = "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-                   ",\"name\":\"" + EscapeJson(name) +
+                   ",\"name\":\"" + JsonEscape(name) +
                    "\",\"ts\":" + FormatUs(start_ns) +
                    ",\"dur\":" + FormatUs(dur_ns);
   if (!args_json.empty()) ev += ",\"args\":" + args_json;
@@ -60,7 +51,7 @@ void ChromeTraceBuilder::AddInstant(uint32_t tid, const std::string& name,
                                     double ts_ns,
                                     const std::string& args_json) {
   std::string ev = "{\"ph\":\"i\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-                   ",\"name\":\"" + EscapeJson(name) +
+                   ",\"name\":\"" + JsonEscape(name) +
                    "\",\"ts\":" + FormatUs(ts_ns) + ",\"s\":\"t\"";
   if (!args_json.empty()) ev += ",\"args\":" + args_json;
   ev += "}";
@@ -69,11 +60,9 @@ void ChromeTraceBuilder::AddInstant(uint32_t tid, const std::string& name,
 
 void ChromeTraceBuilder::AddCounter(const std::string& name, double ts_ns,
                                     double value) {
-  char val[48];
-  std::snprintf(val, sizeof(val), "%.9g", value);
-  events_.push_back("{\"ph\":\"C\",\"pid\":1,\"name\":\"" + EscapeJson(name) +
+  events_.push_back("{\"ph\":\"C\",\"pid\":1,\"name\":\"" + JsonEscape(name) +
                     "\",\"ts\":" + FormatUs(ts_ns) + ",\"args\":{\"value\":" +
-                    val + "}}");
+                    FormatNumber(value) + "}}");
 }
 
 void ChromeTraceBuilder::AddTraceTree(uint32_t tid, const TraceNode& root,

@@ -1,13 +1,13 @@
 #include "src/workload/sim_scheduler.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
 
+#include "src/common/artifact.h"
 #include "src/cost/fault_injector.h"
 #include "src/cost/server_station.h"
 #include "src/cost/station_registry.h"
@@ -774,12 +774,10 @@ std::string WorkloadTelemetry::ChromeTraceJson() const {
     b.AddSlice(s.track, s.name, s.start_ns, s.dur_ns, s.args);
   }
   for (const telemetry::SloAlertEvent& a : slo_alerts) {
-    char args[96];
-    std::snprintf(args, sizeof(args),
-                  "{\"burn_long\":%.9g,\"burn_short\":%.9g}", a.burn_long,
-                  a.burn_short);
-    b.AddInstant(alerts_tid,
-                 a.objective + (a.fired ? " FIRE" : " CLEAR"), a.t_ns, args);
+    b.AddInstant(alerts_tid, a.objective + (a.fired ? " FIRE" : " CLEAR"),
+                 a.t_ns,
+                 "{\"burn_long\":" + FormatNumber(a.burn_long) +
+                     ",\"burn_short\":" + FormatNumber(a.burn_short) + "}");
   }
   for (uint32_t sh = 0; sh < server_service.size(); ++sh) {
     for (const auto& [start, end] : server_service[sh]) {

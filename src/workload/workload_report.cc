@@ -1,56 +1,43 @@
 #include "src/workload/workload_report.h"
 
-#include <cstdio>
+#include "src/common/artifact.h"
 
 namespace treebench {
 
 namespace {
 
 void AppendKV(std::string* out, const std::string& pad, const char* key,
+              const std::string& token, bool comma) {
+  *out += pad + "\"" + key + "\": " + token + (comma ? ",\n" : "\n");
+}
+
+void AppendKV(std::string* out, const std::string& pad, const char* key,
               uint64_t v, bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\": %llu%s\n", key,
-                (unsigned long long)v, comma ? "," : "");
-  *out += pad + buf;
+  AppendKV(out, pad, key, FormatUint(v), comma);
 }
 
 void AppendKV(std::string* out, const std::string& pad, const char* key,
               double v, bool comma = true) {
-  char buf[96];
-  // %.9g: run-to-run deterministic on a given build, compact, and enough
-  // precision to round-trip the interesting magnitudes.
-  std::snprintf(buf, sizeof(buf), "\"%s\": %.9g%s\n", key, v,
-                comma ? "," : "");
-  *out += pad + buf;
+  AppendKV(out, pad, key, FormatNumber(v), comma);
 }
 
 void AppendMetrics(std::string* out, const std::string& pad,
                    const Metrics& m, bool comma) {
-  *out += pad + "\"metrics\": {";
-  bool first = true;
-  char buf[96];
-  for (const MetricsField& f : MetricsFieldTable()) {
-    uint64_t v = m.*(f.member);
-    if (v == 0) continue;
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %llu", first ? "" : ", ",
-                  f.name, (unsigned long long)v);
-    *out += buf;
-    first = false;
-  }
-  *out += std::string("}") + (comma ? "," : "") + "\n";
+  *out += pad + "\"metrics\": {" +
+          MetricsJsonMembers(m, JsonSpacing::kSpaced) +
+          (comma ? "},\n" : "}\n");
 }
 
 void AppendLatencies(std::string* out, const std::string& pad,
                      const telemetry::Histogram& h, bool comma) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "\"latency_seconds\": {\"p50\": %.9g, \"p95\": %.9g, "
-                "\"p99\": %.9g, \"mean\": %.9g, \"min\": %.9g, "
-                "\"max\": %.9g}%s\n",
-                h.Quantile(0.50) / 1e9, h.Quantile(0.95) / 1e9,
-                h.Quantile(0.99) / 1e9, h.mean_ns() / 1e9, h.min_ns() / 1e9,
-                h.max_ns() / 1e9, comma ? "," : "");
-  *out += pad + buf;
+  AppendKV(out, pad, "latency_seconds",
+           "{\"p50\": " + FormatNumber(h.Quantile(0.50) / 1e9) +
+               ", \"p95\": " + FormatNumber(h.Quantile(0.95) / 1e9) +
+               ", \"p99\": " + FormatNumber(h.Quantile(0.99) / 1e9) +
+               ", \"mean\": " + FormatNumber(h.mean_ns() / 1e9) +
+               ", \"min\": " + FormatNumber(h.min_ns() / 1e9) +
+               ", \"max\": " + FormatNumber(h.max_ns() / 1e9) + "}",
+           comma);
 }
 
 }  // namespace
@@ -102,12 +89,11 @@ std::string WorkloadReport::ToJson() const {
   AppendKV(&out, "    ", "span_seconds", span_seconds);
   AppendKV(&out, "    ", "throughput_qps", throughput_qps);
   AppendLatencies(&out, "    ", latencies, /*comma=*/true);
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "\"fairness\": {\"min_qps\": %.9g, \"max_qps\": %.9g, "
-                "\"ratio\": %.9g},\n",
-                min_client_qps, max_client_qps, fairness_ratio);
-  out += std::string("    ") + buf;
+  AppendKV(&out, "    ", "fairness",
+           "{\"min_qps\": " + FormatNumber(min_client_qps) +
+               ", \"max_qps\": " + FormatNumber(max_client_qps) +
+               ", \"ratio\": " + FormatNumber(fairness_ratio) + "}",
+           /*comma=*/true);
   AppendKV(&out, "    ", "server_busy_seconds", server_busy_seconds);
   AppendKV(&out, "    ", "server_utilization", server_utilization);
   AppendKV(&out, "    ", "rpc_queue_wait_seconds",
@@ -144,30 +130,23 @@ std::string WorkloadReport::ToJson() const {
     out += "  \"slo\": {\n    \"objectives\": [\n";
     for (size_t i = 0; i < slo_objectives.size(); ++i) {
       const telemetry::SloObjectiveSummary& o = slo_objectives[i];
-      char row[256];
-      std::snprintf(row, sizeof(row),
-                    "      {\"name\": \"%s\", \"total\": %llu, \"bad\": "
-                    "%llu, \"attainment\": %.9g, \"alerts_fired\": %llu, "
-                    "\"active_at_end\": %u}%s\n",
-                    o.name.c_str(), (unsigned long long)o.total,
-                    (unsigned long long)o.bad, o.attainment,
-                    (unsigned long long)o.alerts_fired,
-                    o.active_at_end ? 1u : 0u,
-                    i + 1 < slo_objectives.size() ? "," : "");
-      out += row;
+      out += "      {\"name\": \"" + JsonEscape(o.name) +
+             "\", \"total\": " + FormatUint(o.total) +
+             ", \"bad\": " + FormatUint(o.bad) +
+             ", \"attainment\": " + FormatNumber(o.attainment) +
+             ", \"alerts_fired\": " + FormatUint(o.alerts_fired) +
+             ", \"active_at_end\": " + (o.active_at_end ? "1" : "0") +
+             (i + 1 < slo_objectives.size() ? "},\n" : "}\n");
     }
     out += "    ],\n    \"alerts\": [\n";
     for (size_t i = 0; i < slo_alerts.size(); ++i) {
       const telemetry::SloAlertEvent& a = slo_alerts[i];
-      char row[256];
-      std::snprintf(row, sizeof(row),
-                    "      {\"objective\": \"%s\", \"event\": \"%s\", "
-                    "\"t_seconds\": %.9g, \"burn_long\": %.9g, "
-                    "\"burn_short\": %.9g}%s\n",
-                    a.objective.c_str(), a.fired ? "fire" : "clear",
-                    a.t_ns / 1e9, a.burn_long, a.burn_short,
-                    i + 1 < slo_alerts.size() ? "," : "");
-      out += row;
+      out += "      {\"objective\": \"" + JsonEscape(a.objective) +
+             "\", \"event\": \"" + (a.fired ? "fire" : "clear") +
+             "\", \"t_seconds\": " + FormatNumber(a.t_ns / 1e9) +
+             ", \"burn_long\": " + FormatNumber(a.burn_long) +
+             ", \"burn_short\": " + FormatNumber(a.burn_short) +
+             (i + 1 < slo_alerts.size() ? "},\n" : "}\n");
     }
     out += "    ]\n  },\n";
   }
@@ -175,15 +154,12 @@ std::string WorkloadReport::ToJson() const {
   out += "  \"shards\": [\n";
   for (size_t i = 0; i < shards.size(); ++i) {
     const ShardReport& sh = shards[i];
-    char row[224];
-    std::snprintf(row, sizeof(row),
-                  "    {\"shard\": %u, \"admitted\": %llu, "
-                  "\"busy_seconds\": %.9g, \"queue_wait_seconds\": %.9g, "
-                  "\"crashes\": %llu}%s\n",
-                  sh.shard, (unsigned long long)sh.admitted, sh.busy_seconds,
-                  sh.queue_wait_seconds, (unsigned long long)sh.crashes,
-                  i + 1 < shards.size() ? "," : "");
-    out += row;
+    out += "    {\"shard\": " + FormatUint(sh.shard) +
+           ", \"admitted\": " + FormatUint(sh.admitted) +
+           ", \"busy_seconds\": " + FormatNumber(sh.busy_seconds) +
+           ", \"queue_wait_seconds\": " + FormatNumber(sh.queue_wait_seconds) +
+           ", \"crashes\": " + FormatUint(sh.crashes) +
+           (i + 1 < shards.size() ? "},\n" : "}\n");
   }
   out += "  ],\n";
 
@@ -195,13 +171,9 @@ std::string WorkloadReport::ToJson() const {
     out += "  \"fault_injection\": {\n";
     for (size_t i = 0; i < fault_sites.size(); ++i) {
       const FaultSiteReport& f = fault_sites[i];
-      char row[160];
-      std::snprintf(row, sizeof(row),
-                    "    \"%s\": {\"ops\": %llu, \"injected\": %llu}%s\n",
-                    f.site, (unsigned long long)f.ops,
-                    (unsigned long long)f.injected,
-                    i + 1 < fault_sites.size() ? "," : "");
-      out += row;
+      out += std::string("    \"") + f.site + "\": {\"ops\": " +
+             FormatUint(f.ops) + ", \"injected\": " + FormatUint(f.injected) +
+             (i + 1 < fault_sites.size() ? "},\n" : "}\n");
     }
     out += "  },\n";
   }

@@ -152,16 +152,32 @@ TEST(OrDieTest, ThrowsInsideACell) {
   std::fclose(capture);
 }
 
+// A missing directory fails at open; /dev/full opens and fails when the
+// bytes reach it.
 TEST(ExportStatsDeathTest, AFailedExportExitsOneWithFatal) {
   const std::string missing_dir = testing::TempDir() + "no/such/dir/";
-  BenchOptions csv;
-  csv.csv_path = missing_dir + "stats.csv";
-  EXPECT_EXIT(ExportStats(StatStore(), csv), testing::ExitedWithCode(1),
-              "FATAL: csv export: Internal: cannot open ");
-  BenchOptions json;
-  json.stats_json_path = missing_dir + "stats.json";
-  EXPECT_EXIT(ExportStats(StatStore(), json), testing::ExitedWithCode(1),
-              "FATAL: stats json export: Internal: cannot open ");
+  for (const std::string& dir : {missing_dir, std::string()}) {
+    BenchOptions csv;
+    csv.csv_path = dir.empty() ? "/dev/full" : dir + "stats.csv";
+    EXPECT_EXIT(ExportStats(StatStore(), csv), testing::ExitedWithCode(1),
+                "FATAL: csv export: Internal: cannot write " + csv.csv_path);
+    BenchOptions json;
+    json.stats_json_path = dir.empty() ? "/dev/full" : dir + "stats.json";
+    EXPECT_EXIT(ExportStats(StatStore(), json), testing::ExitedWithCode(1),
+                "FATAL: stats json export: Internal: cannot write " +
+                    json.stats_json_path);
+  }
+}
+
+// The perf record is written at exit: a failed write still turns the exit
+// status nonzero.
+TEST(PerfJsonDeathTest, AFailedWriteAtExitExitsOne) {
+  EXPECT_EXIT(
+      {
+        Parse({"--perf-json=/dev/full"});
+        std::exit(0);
+      },
+      testing::ExitedWithCode(1), "cannot write /dev/full");
 }
 
 /// SameReport's stdout line, captured through SetThreadOut.

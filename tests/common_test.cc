@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
+#include "src/common/artifact.h"
 #include "src/common/byte_io.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
@@ -234,6 +237,58 @@ TEST(StringUtilTest, WithThousands) {
   EXPECT_EQ(WithThousands(999), "999");
   EXPECT_EQ(WithThousands(1000), "1,000");
   EXPECT_EQ(WithThousands(3000000), "3,000,000");
+}
+
+TEST(ArtifactTest, JsonEscapeCoversQuotesBackslashesAndControls) {
+  EXPECT_EQ(JsonEscape("plain name_1"), "plain name_1");
+  EXPECT_EQ(JsonEscape(R"(a"b\c)"), R"(a\"b\\c)");
+  EXPECT_EQ(JsonEscape("l1\nl2\tx\r"), R"(l1\nl2\u0009x\u000d)");
+  EXPECT_EQ(JsonEscape(std::string("\x01\x1f", 2)), R"(\u0001\u001f)");
+  EXPECT_EQ(JsonEscape(std::string(1, '\0')), R"(\u0000)");
+  // UTF-8 and DEL pass through unchanged.
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9\x7f"), "caf\xc3\xa9\x7f");
+}
+
+TEST(ArtifactTest, NumberAndIntegerTokens) {
+  EXPECT_EQ(FormatNumber(0), "0");
+  EXPECT_EQ(FormatNumber(1.5), "1.5");
+  EXPECT_EQ(FormatNumber(1.0 / 3), "0.333333333");
+  EXPECT_EQ(FormatNumber(123456789012.0), "1.23456789e+11");
+  EXPECT_EQ(FormatNumber(-2.5e-7), "-2.5e-07");
+  EXPECT_EQ(FormatUint(0), "0");
+  EXPECT_EQ(FormatUint(18446744073709551615ull), "18446744073709551615");
+}
+
+TEST(ArtifactTest, WriteFileAndReadFileRoundTripAndReportFailures) {
+  const std::string path = testing::TempDir() + "artifact_test.txt";
+  const std::string content("{\"k\": 1}\n\0tail", 14);
+  ASSERT_TRUE(WriteFile(path, content).ok());
+  Result<std::string> back = ReadFile(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, content);
+  std::remove(path.c_str());
+
+  const std::string missing = testing::TempDir() + "no/such/dir/x.json";
+  const Status open_failed = WriteFile(missing, "{}\n");
+  EXPECT_EQ(open_failed.code(), StatusCode::kInternal);
+  EXPECT_EQ(open_failed.message(), "cannot write " + missing);
+  // Opens fine; the bytes fail when they reach the device.
+  EXPECT_EQ(WriteFile("/dev/full", "{}\n").message(),
+            "cannot write /dev/full");
+  EXPECT_EQ(ReadFile(missing).status().message(), "cannot read " + missing);
+}
+
+TEST(MetricsTest, JsonMembersOmitZeroCountersInTableOrder) {
+  Metrics m;
+  EXPECT_EQ(MetricsJsonMembers(m, JsonSpacing::kSpaced), "");
+  m.rpc_count = 7;
+  m.disk_reads = 3;
+  m.recluster_io_ns = 12345678901234ull;
+  EXPECT_EQ(MetricsJsonMembers(m, JsonSpacing::kSpaced),
+            R"("disk_reads": 3, "rpc_count": 7, )"
+            R"("recluster_io_ns": 12345678901234)");
+  EXPECT_EQ(MetricsJsonMembers(m, JsonSpacing::kCompact),
+            R"("disk_reads":3,"rpc_count":7,"recluster_io_ns":12345678901234)");
 }
 
 TEST(MetricsTest, FieldTableCoversTheWholeStruct) {

@@ -160,5 +160,32 @@ TEST(StatStoreTest, GnuplotExportPivots) {
   std::remove(path.c_str());
 }
 
+// User text in a record (the query) reaches the JSON export escaped.
+TEST(StatStoreTest, JsonExportEscapesStrings) {
+  StatStore store;
+  StatRecord r = MakeRecord("NL", 1.5, 10, 10);
+  r.query_text = "select \"a\\b\"\n\tx";
+  store.Add(r);
+  const std::string json = store.ToJson();
+  EXPECT_NE(json.find(R"("query": "select \"a\\b\"\n\u0009x")"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"elapsed_seconds\": 1.5, "), std::string::npos);
+}
+
+// /dev/full opens fine and fails when the bytes reach it: every export
+// must report that instead of claiming success.
+TEST(StatStoreTest, ExportsReportAFailedWrite) {
+  StatStore store;
+  store.Add(MakeRecord("NL", 100, 10, 10));
+  const Status csv = store.ExportCsv("/dev/full");
+  EXPECT_FALSE(csv.ok());
+  EXPECT_EQ(csv.message(), "cannot write /dev/full");
+  EXPECT_FALSE(store.ExportJson("/dev/full").ok());
+  EXPECT_FALSE(
+      store.ExportGnuplot("/dev/full", [](const StatRecord&) { return true; })
+          .ok());
+}
+
 }  // namespace
 }  // namespace treebench

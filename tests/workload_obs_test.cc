@@ -57,6 +57,24 @@ telemetry::SloObjective AvailabilityObjective() {
   return o;
 }
 
+/// A 2-shard unreplicated service whose shard 0 crashes at t=1ms, watched by
+/// the availability objective: the objective fires.
+WorkloadSpec ShardCrashSpec() {
+  WorkloadSpec spec;
+  spec.num_clients = 4;
+  spec.queries_per_client = 6;
+  spec.zipf_theta = 0.6;
+  spec.selection_pct = 2;
+  spec.think_time_ns = 1e6;
+  spec.cold_start = true;
+  spec.seed = 42;
+  spec.num_servers = 2;
+  spec.replication = false;
+  spec.crashes.push_back({/*shard=*/0, /*at_ns=*/1e6});
+  spec.slo_objectives.push_back(AvailabilityObjective());
+  return spec;
+}
+
 /// Removes every observability artifact from a report copy, leaving what a
 /// query_log=false, slo-free run of the same spec would have produced.
 WorkloadReport Stripped(const WorkloadReport& r) {
@@ -162,25 +180,10 @@ TEST(WorkloadObsTest, AlertTimelineIsDeterministicAndCoherent) {
   // A 2-shard unreplicated service with shard 0 crashing at t=1ms: the
   // availability objective must fire, at the same virtual timestamp, on
   // two independently built databases.
-  auto build_spec = []() {
-    WorkloadSpec spec;
-    spec.num_clients = 4;
-    spec.queries_per_client = 6;
-    spec.zipf_theta = 0.6;
-    spec.selection_pct = 2;
-    spec.think_time_ns = 1e6;
-    spec.cold_start = true;
-    spec.seed = 42;
-    spec.num_servers = 2;
-    spec.replication = false;
-    spec.crashes.push_back({/*shard=*/0, /*at_ns=*/1e6});
-    spec.slo_objectives.push_back(AvailabilityObjective());
-    return spec;
-  };
   auto derby_a = BuildSmallDerby();
   auto derby_b = BuildSmallDerby();
-  auto a = RunWorkload(derby_a.get(), build_spec());
-  auto b = RunWorkload(derby_b.get(), build_spec());
+  auto a = RunWorkload(derby_a.get(), ShardCrashSpec());
+  auto b = RunWorkload(derby_b.get(), ShardCrashSpec());
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(a->has_slo);
   EXPECT_GT(a->failed_queries, 0u);
@@ -238,19 +241,8 @@ TEST(WorkloadObsTest, PerfettoSlicesCarryArgsAndAlertsOnlyWhenEnabled) {
 
   // Recorder on + a firing objective: slices gain per-query args and the
   // alert transitions appear as instant events on the alerts track.
-  WorkloadSpec spec;
-  spec.num_clients = 4;
-  spec.queries_per_client = 6;
-  spec.zipf_theta = 0.6;
-  spec.selection_pct = 2;
-  spec.think_time_ns = 1e6;
-  spec.cold_start = true;
-  spec.seed = 42;
-  spec.num_servers = 2;
-  spec.replication = false;
-  spec.crashes.push_back({/*shard=*/0, /*at_ns=*/1e6});
+  WorkloadSpec spec = ShardCrashSpec();
   spec.query_log = true;
-  spec.slo_objectives.push_back(AvailabilityObjective());
 
   WorkloadTelemetry tel;
   auto report = RunWorkload(derby.get(), spec, &tel);
@@ -270,6 +262,45 @@ TEST(WorkloadObsTest, PerfettoSlicesCarryArgsAndAlertsOnlyWhenEnabled) {
   auto report2 = RunWorkload(derby2.get(), spec, &tel2);
   ASSERT_TRUE(report2.ok());
   EXPECT_EQ(trace, tel2.ChromeTraceJson());
+}
+
+// An objective name is user text: the report and the trace carry it
+// JSON-escaped and whole, however long it is.
+TEST(WorkloadObsTest, SloNamesSurviveTheReportAndTheTrace) {
+  const std::string head = R"(avail "p99" a\b )";
+  const std::string escaped_head = R"(avail \"p99\" a\\b )";
+  const std::string tail(300 - head.size(), 'x');
+  WorkloadSpec spec = ShardCrashSpec();
+  spec.slo_objectives[0].name = head + tail;
+  ASSERT_EQ(spec.slo_objectives[0].name.size(), 300u);
+  const std::string escaped = escaped_head + tail;
+
+  auto derby = BuildSmallDerby();
+  WorkloadTelemetry tel;
+  auto report = RunWorkload(derby.get(), spec, &tel);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_FALSE(report->slo_alerts.empty()) << "crash window never fired";
+
+  const std::string json = report->ToJson();
+  EXPECT_NE(json.find("{\"name\": \"" + escaped + "\", \"total\": "),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"objective\": \"" + escaped + "\", \"event\": "),
+            std::string::npos);
+  // Every objective and alert row is whole: it ends with its closing brace.
+  size_t rows = 0;
+  size_t pos = 0;
+  while ((pos = json.find(escaped, pos)) != std::string::npos) {
+    const size_t eol = json.find('\n', pos);
+    ASSERT_NE(eol, std::string::npos);
+    const std::string row = json.substr(pos, eol - pos);
+    EXPECT_TRUE(row.ends_with("}") || row.ends_with("},")) << row;
+    ++rows;
+    pos = eol;
+  }
+  EXPECT_EQ(rows, 1 + report->slo_alerts.size());
+
+  EXPECT_NE(tel.ChromeTraceJson().find("\"name\":\"" + escaped + " FIRE\""),
+            std::string::npos);
 }
 
 TEST(WorkloadObsTest, ReorganizerRoundsLandInTheFlightRecorder) {
