@@ -23,10 +23,27 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
+std::string CsvQuote(std::string_view s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 std::string FormatNumber(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
+}
+
+std::string FormatFixed(double v, int digits) {
+  std::string out(std::snprintf(nullptr, 0, "%.*f", digits, v), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", digits, v);
+  return out;
 }
 
 std::string FormatUint(uint64_t v) { return std::to_string(v); }

@@ -19,9 +19,17 @@ namespace treebench {
 /// character `\u00XX`. Other bytes, UTF-8 included, pass through.
 std::string JsonEscape(std::string_view s);
 
+/// `s` as one quoted CSV field (RFC 4180): between double quotes, with
+/// every embedded double quote doubled.
+std::string CsvQuote(std::string_view s);
+
 /// The artifact number token, `%.9g`: deterministic on one build, compact,
 /// and precise enough to round-trip the magnitudes the artifacts carry.
 std::string FormatNumber(double v);
+
+/// `v` with `digits` decimals (`%.*f`), at whatever length that takes: the
+/// fixed-point token of stat-record CSVs, trace timestamps and bench tables.
+std::string FormatFixed(double v, int digits);
 
 /// The artifact integer token: plain decimal.
 std::string FormatUint(uint64_t v);

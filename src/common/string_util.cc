@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "src/common/artifact.h"
+
 namespace treebench {
 
 std::string HumanBytes(uint64_t bytes) {
@@ -23,9 +25,7 @@ std::string HumanBytes(uint64_t bytes) {
 }
 
 std::string FormatSeconds(double seconds, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, seconds);
-  return buf;
+  return FormatFixed(seconds, precision);
 }
 
 std::string WithThousands(uint64_t v) {

@@ -142,16 +142,8 @@ struct CostModel {
   double migrate_page_ns = 150e3;
   // Exponential-decay half life of all heat counters, in virtual time.
   double heat_half_life_ns = 20e9;  // 20 s
-  // Cadence of the background reorganizer's wake-ups in virtual time.
-  double recluster_interval_ns = 5e9;  // 5 s
-  // Per-round migration budget: at most this many distinct source pages
-  // are rewritten per wake-up, so foreground clients are never starved.
-  uint32_t recluster_page_budget = 32;
-  // Selection thresholds: a parent qualifies as a hot scattered path once
-  // its decayed traversal heat reaches `recluster_min_heat` and its mean
-  // distinct pages touched per traversal reaches `recluster_min_span`.
-  double recluster_min_heat = 2.0;
-  double recluster_min_span = 2.0;
+  // The reorganizer's policy (wake-up cadence, page budget, selection
+  // thresholds) is a workload parameter: see WorkloadSpec.
 
   // ---- Memory model of the simulated machine ----
   uint64_t ram_bytes = 128ull << 20;  // 128 MB Sparc 20

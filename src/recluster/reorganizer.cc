@@ -9,15 +9,16 @@
 namespace treebench {
 
 Reorganizer::Reorganizer(Database* db, TxnManager* txns, HeatTracker* heat,
-                         uint32_t client_id)
+                         uint32_t client_id, uint32_t page_budget,
+                         double min_heat, double min_span)
     : ctx(db->cache().config().client_pages()),
       db_(db),
       txns_(txns),
       heat_(heat),
       client_id_(client_id),
-      page_budget_(db->sim().model().recluster_page_budget),
-      min_heat_(db->sim().model().recluster_min_heat),
-      min_span_(db->sim().model().recluster_min_span) {}
+      page_budget_(page_budget),
+      min_heat_(min_heat),
+      min_span_(min_span) {}
 
 Status Reorganizer::BuildPositions() {
   positions_.clear();

@@ -13,7 +13,7 @@ namespace treebench {
 
 /// The background half of online adaptive reclustering
 /// (docs/clustering_model.md): a maintenance client the discrete-event
-/// scheduler wakes every CostModel::recluster_interval_ns. Each wake-up
+/// scheduler wakes every WorkloadSpec::recluster_interval_ns. Each wake-up
 /// asks the HeatTracker for hot composition paths whose objects are
 /// scattered across many pages, then migrates whole (parent, children)
 /// groups into contiguous pages of a dedicated recluster file.
@@ -36,8 +36,11 @@ namespace treebench {
 /// Database::Bind around each round.
 class Reorganizer {
  public:
+  /// Each round migrates at most `page_budget` distinct source pages, of
+  /// parents whose heat and mean span reach `min_heat` and `min_span`.
   Reorganizer(Database* db, TxnManager* txns, HeatTracker* heat,
-              uint32_t client_id);
+              uint32_t client_id, uint32_t page_budget, double min_heat,
+              double min_span);
 
   Reorganizer(const Reorganizer&) = delete;
   Reorganizer& operator=(const Reorganizer&) = delete;
@@ -50,17 +53,6 @@ class Reorganizer {
   Status RunRound();
 
   uint64_t rounds() const { return rounds_; }
-
-  /// Per-round knobs, initialized from the CostModel's recluster section;
-  /// WorkloadSpec overrides land here (0 in the spec = keep the default).
-  uint32_t page_budget() const { return page_budget_; }
-  void set_page_budget(uint32_t pages) {
-    if (pages > 0) page_budget_ = pages;
-  }
-  void set_thresholds(double min_heat, double min_span) {
-    if (min_heat > 0) min_heat_ = min_heat;
-    if (min_span > 0) min_span_ = min_span;
-  }
 
   /// Test knob: the Nth object copy of a round fails as if the machine
   /// died mid-migration, forcing the transaction down the rollback path.
@@ -99,9 +91,9 @@ class Reorganizer {
   HeatTracker* heat_;
   uint32_t client_id_;
 
-  uint32_t page_budget_;
-  double min_heat_;
-  double min_span_;
+  const uint32_t page_budget_;
+  const double min_heat_;
+  const double min_span_;
 
   std::unordered_map<uint64_t, ExtentPos> positions_;
   bool positions_built_ = false;

@@ -32,25 +32,23 @@ std::string StatRecord::CsvHeader() {
 }
 
 std::string StatRecord::ToCsvRow() const {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "%d,%s,%s,%s,\"%s\",%d,%.3f,%.3f,%.2f,%llu,%llu,%llu,%llu,%llu,%llu,"
-      "%.2f,%.2f,%llu,%llu,%llu,%u,%.3f,%.4f,%.4f,%.4f",
-      numtest, database.c_str(), cluster.c_str(), algo.c_str(),
-      query_text.c_str(), cold ? 1 : 0, selectivity_patients_pct,
-      selectivity_providers_pct, elapsed_seconds,
-      static_cast<unsigned long long>(result_count),
-      static_cast<unsigned long long>(cc_page_faults),
-      static_cast<unsigned long long>(rpcs_number),
-      static_cast<unsigned long long>(rpcs_total_bytes),
-      static_cast<unsigned long long>(d2sc_read_pages),
-      static_cast<unsigned long long>(sc2cc_read_pages), cc_miss_rate_pct,
-      sc_miss_rate_pct, static_cast<unsigned long long>(swap_ios),
-      static_cast<unsigned long long>(server_cache_bytes),
-      static_cast<unsigned long long>(client_cache_bytes), num_clients,
-      throughput_qps, latency_p50_s, latency_p95_s, latency_p99_s);
-  return buf;
+  std::string row = std::to_string(numtest) + "," + database + "," + cluster +
+                    "," + algo + "," + CsvQuote(query_text);
+  for (const std::string& field :
+       {FormatUint(cold ? 1 : 0), FormatFixed(selectivity_patients_pct, 3),
+        FormatFixed(selectivity_providers_pct, 3),
+        FormatFixed(elapsed_seconds, 2), FormatUint(result_count),
+        FormatUint(cc_page_faults), FormatUint(rpcs_number),
+        FormatUint(rpcs_total_bytes), FormatUint(d2sc_read_pages),
+        FormatUint(sc2cc_read_pages), FormatFixed(cc_miss_rate_pct, 2),
+        FormatFixed(sc_miss_rate_pct, 2), FormatUint(swap_ios),
+        FormatUint(server_cache_bytes), FormatUint(client_cache_bytes),
+        FormatUint(num_clients), FormatFixed(throughput_qps, 3),
+        FormatFixed(latency_p50_s, 4), FormatFixed(latency_p95_s, 4),
+        FormatFixed(latency_p99_s, 4)}) {
+    row += "," + field;
+  }
+  return row;
 }
 
 int StatStore::Add(StatRecord record) {
@@ -189,12 +187,7 @@ Status StatStore::ExportGnuplot(
     out += buf;
     for (const auto& a : algos) {
       auto it = cols.find(a);
-      if (it == cols.end()) {
-        out += " -";
-      } else {
-        std::snprintf(buf, sizeof(buf), " %.2f", it->second);
-        out += buf;
-      }
+      out += it == cols.end() ? " -" : " " + FormatFixed(it->second, 2);
     }
     out += "\n";
   }

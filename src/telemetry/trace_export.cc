@@ -14,11 +14,7 @@ namespace {
 /// Timestamps/durations in the trace-event format are microseconds. %.3f
 /// keeps exact nanosecond resolution in decimal (deterministic across
 /// same-seed runs on one build).
-std::string FormatUs(double ns) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f", ns / 1e3);
-  return buf;
-}
+std::string FormatUs(double ns) { return FormatFixed(ns / 1e3, 3); }
 
 }  // namespace
 

@@ -36,7 +36,6 @@ ClientSession::ClientSession(uint32_t id, const WorkloadSpec& spec,
       zipf_(NumWindows(derby.meta.num_patients,
                        derby.MrnCutoff(spec.selection_pct)),
             spec.zipf_theta, ZipfSeed(spec.seed, id)),
-      num_windows_(zipf_.n()),
       window_width_(std::max<int64_t>(1, derby_.MrnCutoff(spec.selection_pct))) {}
 
 GeneratedQuery ClientSession::NextQuery() {
@@ -49,10 +48,7 @@ GeneratedQuery ClientSession::NextQuery() {
     q.is_update = true;
     // Updates target the same Zipf-chosen mrn windows the selections read,
     // so readers and writers collide on the hot head ranges.
-    uint64_t window = zipf_.Next();
-    int64_t lo = static_cast<int64_t>(window) * window_width_;
-    int64_t hi = std::min<int64_t>(
-        lo + window_width_, static_cast<int64_t>(derby_.meta.num_patients));
+    const auto [lo, hi] = NextWindow();
     int32_t value = static_cast<int32_t>(rng_.Next() % 1000000);
     std::snprintf(buf, sizeof(buf),
                   "update Patients set random_integer = %lld "
@@ -72,14 +68,7 @@ GeneratedQuery ClientSession::NextQuery() {
                   (long long)derby_.MrnCutoff(spec_.tree_child_sel_pct),
                   (long long)derby_.UpinCutoff(spec_.tree_parent_sel_pct));
   } else {
-    // The Zipf draw picks WHICH window of the mrn domain this selection
-    // reads: rank 0 (the hottest) is the lowest window, so under skew all
-    // clients hammer the same head ranges and the shared server cache has
-    // something to share.
-    uint64_t window = zipf_.Next();
-    int64_t lo = static_cast<int64_t>(window) * window_width_;
-    int64_t hi = std::min<int64_t>(
-        lo + window_width_, static_cast<int64_t>(derby_.meta.num_patients));
+    const auto [lo, hi] = NextWindow();
     std::snprintf(buf, sizeof(buf),
                   "select pa.age from pa in Patients "
                   "where pa.mrn >= %lld and pa.mrn < %lld",
@@ -87,6 +76,15 @@ GeneratedQuery ClientSession::NextQuery() {
   }
   q.oql = buf;
   return q;
+}
+
+std::pair<int64_t, int64_t> ClientSession::NextWindow() {
+  // The Zipf draw picks WHICH window of the mrn domain is read: rank 0 (the
+  // hottest) is the lowest window, so under skew all clients hammer the
+  // same head ranges and the shared server cache has something to share.
+  const int64_t lo = static_cast<int64_t>(zipf_.Next()) * window_width_;
+  const auto end = static_cast<int64_t>(derby_.meta.num_patients);
+  return {lo, std::min<int64_t>(lo + window_width_, end)};
 }
 
 double ClientSession::NextThinkNs() {

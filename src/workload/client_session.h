@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/benchdb/derby.h"
@@ -43,11 +44,6 @@ class ClientSession {
   /// Samples this client's next think time (ns >= 0).
   double NextThinkNs();
 
-  /// The client's virtual time (ns). All clients share the t=0 origin, so
-  /// these values are directly comparable — and directly usable as global
-  /// arrival timestamps by the ServerStation.
-  double now_ns() const { return ctx.clock.clock_ns; }
-
   /// Bound by the scheduler (Database::Bind) around this session's turns.
   ExecContext ctx;
 
@@ -66,14 +62,14 @@ class ClientSession {
   std::vector<double> completion_seconds;
 
  private:
+  /// The mrn range [lo, hi) of the next Zipf-drawn selection window.
+  std::pair<int64_t, int64_t> NextWindow();
+
   uint32_t id_;
   const WorkloadSpec& spec_;
   const DerbyDb& derby_;
   Lrand48 rng_;        // mix choice + think jitter
   ZipfSampler zipf_;   // selection window choice
-  /// Number of selection windows the mrn domain is carved into (the Zipf
-  /// sampler ranges over these).
-  uint64_t num_windows_;
   int64_t window_width_;
 };
 

@@ -71,11 +71,19 @@ Status ValidateSpec(const WorkloadSpec& spec) {
     }
   }
   TB_RETURN_IF_ERROR(telemetry::ValidateSloObjectives(spec.slo_objectives));
-  if (spec.recluster_interval_ns < 0 || spec.recluster_min_heat < 0 ||
-      spec.recluster_min_span < 0) {
+  // A zero interval would re-arm a reorganizer with nothing to charge at
+  // the same virtual time forever.
+  if (!(spec.recluster_interval_ns > 0)) {
     return Status::InvalidArgument(
-        "workload: recluster overrides must be >= 0 (0 keeps the CostModel "
-        "default)");
+        "workload: recluster_interval_ns must be > 0");
+  }
+  if (spec.recluster_page_budget == 0) {
+    return Status::InvalidArgument(
+        "workload: recluster_page_budget must be >= 1");
+  }
+  if (!(spec.recluster_min_heat >= 0) || !(spec.recluster_min_span >= 0)) {
+    return Status::InvalidArgument(
+        "workload: recluster_min_heat and recluster_min_span must be >= 0");
   }
   return Status::OK();
 }
@@ -83,8 +91,7 @@ Status ValidateSpec(const WorkloadSpec& spec) {
 struct PreparedQuery {
   BoundQuery bound = BoundSelection{};
   PlanChoice plan;
-  /// Set for update statements: they carry a BoundDml instead of a plan.
-  bool is_dml = false;
+  /// Update statements carry a BoundDml instead of a plan.
   BoundDml dml = BoundUpdate{};
 };
 
@@ -94,19 +101,21 @@ struct PreparedQuery {
 /// completion times.
 struct TelemetryHooks {
   WorkloadTelemetry* t = nullptr;
+  /// The run's shard stations: shards-touched attribution, peak resets.
+  StationRegistry* stations = nullptr;
   double probe_now = 0;
 
-  /// Query flight recorder + SLO engine (docs/observability.md). Null —
-  /// the default — is the pre-recorder code path: no snapshots, no record
-  /// assembly, nothing allocated. Both are pure observers of state the
-  /// loop already computes, so enabling them perturbs no counter and no
-  /// virtual timestamp (tests/workload_obs_test.cc asserts this).
-  telemetry::QueryLogRecorder* qlog = nullptr;
-  telemetry::SloMonitor* slo = nullptr;
+  /// Query flight recorder + SLO engine (docs/observability.md), present
+  /// only when the spec enables them. Absent — the default — is the
+  /// pre-recorder code path: no snapshots, no record assembly, nothing
+  /// allocated. Both are pure observers of state the loop already
+  /// computes, so enabling them perturbs no counter and no virtual
+  /// timestamp (tests/workload_obs_test.cc asserts this).
+  std::optional<telemetry::QueryLogRecorder> qlog;
+  std::optional<telemetry::SloMonitor> slo;
   /// For the recorder's shards-touched attribution: per-shard admitted()
   /// snapshots taken around each query (the loop runs queries atomically,
   /// so any admission delta belongs to the running query).
-  const StationRegistry* stations = nullptr;
   std::vector<uint64_t> admitted_before;
 };
 
@@ -117,53 +126,64 @@ void InstallProbes(WorkloadTelemetry* t, Database* db,
                    const std::vector<std::unique_ptr<ClientSession>>& sessions,
                    const StationRegistry& stations, const HeatTracker* heat,
                    const Reorganizer* reorg) {
-  t->series.set_interval_ns(t->sample_interval_ns);
-  auto sum_counter = [&sessions](uint64_t Metrics::* field) {
+  telemetry::TimeSeriesRecorder& series = t->series;
+  series.set_interval_ns(t->sample_interval_ns);
+  using Counter = uint64_t Metrics::*;
+  auto sum = [&sessions](Counter field) {
     uint64_t total = 0;
     for (const auto& s : sessions) total += s->ctx.clock.metrics.*field;
     return total;
   };
+  // One helper per probe kind, so each column below is one line.
+  auto rate = [&series, sum](const char* name, Counter field) {
+    series.AddRate(name, [sum, field] { return sum(field); });
+  };
+  auto gauge = [&series, sum](const char* name, Counter field,
+                              double divisor = 1) {
+    series.AddGauge(name, [sum, field, divisor] {
+      return static_cast<double>(sum(field)) / divisor;
+    });
+  };
+  auto reorg_gauge = [&series, reorg](const char* name, Counter field) {
+    series.AddGauge(name, [reorg, field] {
+      return static_cast<double>(reorg->ctx.clock.metrics.*field);
+    });
+  };
+  auto max_gauge = [&series, &sessions](const char* name,
+                                        uint64_t SimClock::* field) {
+    series.AddGauge(name, [&sessions, field] {
+      uint64_t hwm = 0;
+      for (const auto& s : sessions) hwm = std::max(hwm, s->ctx.clock.*field);
+      return static_cast<double>(hwm);
+    });
+  };
 
-  t->series.AddRate("disk_reads_per_s",
-                    [sum_counter] { return sum_counter(&Metrics::disk_reads); });
-  t->series.AddRate("rpcs_per_s",
-                    [sum_counter] { return sum_counter(&Metrics::rpc_count); });
-  t->series.AddRate("handle_gets_per_s", [sum_counter] {
-    return sum_counter(&Metrics::handle_gets);
-  });
-  t->series.AddRate("batched_rpcs_per_s", [sum_counter] {
-    return sum_counter(&Metrics::batched_rpcs);
-  });
-  t->series.AddGauge("readahead_hits", [sum_counter] {
-    return static_cast<double>(sum_counter(&Metrics::readahead_hits));
-  });
-  t->series.AddGauge("readahead_wasted", [sum_counter] {
-    return static_cast<double>(sum_counter(&Metrics::readahead_wasted));
-  });
+  rate("disk_reads_per_s", &Metrics::disk_reads);
+  rate("rpcs_per_s", &Metrics::rpc_count);
+  rate("handle_gets_per_s", &Metrics::handle_gets);
+  rate("batched_rpcs_per_s", &Metrics::batched_rpcs);
+  gauge("readahead_hits", &Metrics::readahead_hits);
+  gauge("readahead_wasted", &Metrics::readahead_wasted);
 
-  t->series.AddGauge("client_cache_pages", [&sessions] {
+  series.AddGauge("client_cache_pages", [&sessions] {
     uint64_t pages = 0;
     for (const auto& s : sessions) pages += s->ctx.client_cache.size();
     return static_cast<double>(pages);
   });
-  t->series.AddGauge("server_cache_pages", [db] {
+  series.AddGauge("server_cache_pages", [db] {
     return static_cast<double>(db->cache().ServerCachePages());
   });
-  t->series.AddGauge("client_cache_evictions", [sum_counter] {
-    return static_cast<double>(sum_counter(&Metrics::client_cache_evictions));
-  });
-  t->series.AddGauge("server_cache_evictions", [sum_counter] {
-    return static_cast<double>(sum_counter(&Metrics::server_cache_evictions));
-  });
+  gauge("client_cache_evictions", &Metrics::client_cache_evictions);
+  gauge("server_cache_evictions", &Metrics::server_cache_evictions);
   // Backlog as observed by admissions within the sampling window (the PASTA
   // arrival view — see PeakInFlightSinceMark): the reservation timeline
   // drains as the event loop advances, so arrival-observed peaks are the
   // faithful contention gauge, not a probe at the sample timestamp. The
   // event loop resets the window whenever the recorder emits a row.
-  t->series.AddGauge("server_in_flight", [&stations] {
+  series.AddGauge("server_in_flight", [&stations] {
     return static_cast<double>(stations.PeakInFlightAcrossShards());
   });
-  t->series.AddGauge("server_queue_depth", [&stations] {
+  series.AddGauge("server_queue_depth", [&stations] {
     return static_cast<double>(stations.PeakQueueDepthAcrossShards());
   });
   // Per-shard decomposition + fault-campaign probes, only under a sharded
@@ -172,111 +192,67 @@ void InstallProbes(WorkloadTelemetry* t, Database* db,
     for (uint32_t i = 0; i < stations.size(); ++i) {
       const ServerStation* st = &stations.Station(i);
       std::string prefix = "shard" + std::to_string(i) + "_";
-      t->series.AddGauge(prefix + "in_flight", [st] {
+      series.AddGauge(prefix + "in_flight", [st] {
         return static_cast<double>(st->PeakInFlightSinceMark());
       });
-      t->series.AddGauge(prefix + "queue_wait_s",
-                         [st] { return st->queue_wait_ns() / 1e9; });
-      t->series.AddGauge(prefix + "busy_s",
-                         [st] { return st->busy_ns() / 1e9; });
+      series.AddGauge(prefix + "queue_wait_s",
+                      [st] { return st->queue_wait_ns() / 1e9; });
+      series.AddGauge(prefix + "busy_s", [st] { return st->busy_ns() / 1e9; });
     }
-    const SimContext* sim = &db->sim();
-    t->series.AddGauge("server_crashes", [sim] {
-      return static_cast<double>(
-          sim->faults().injected(FaultSite::kServerCrash));
+    const FaultInjector* faults = &db->sim().faults();
+    series.AddGauge("server_crashes", [faults] {
+      return static_cast<double>(faults->injected(FaultSite::kServerCrash));
     });
-    t->series.AddGauge("blackholed_rpcs", [sim] {
-      return static_cast<double>(
-          sim->faults().injected(FaultSite::kServerBlackhole));
+    series.AddGauge("blackholed_rpcs", [faults] {
+      return static_cast<double>(faults->injected(FaultSite::kServerBlackhole));
     });
-    t->series.AddGauge("failovers", [sum_counter] {
-      return static_cast<double>(sum_counter(&Metrics::failovers));
-    });
-    t->series.AddGauge("degraded_reads", [sum_counter] {
-      return static_cast<double>(sum_counter(&Metrics::degraded_reads));
-    });
+    gauge("failovers", &Metrics::failovers);
+    gauge("degraded_reads", &Metrics::degraded_reads);
   }
   // Transaction probes, only for update-mix specs so read-only runs keep
   // their exact column set (the update_ratio=0 bit-identity gate).
   if (spec.update_ratio > 0) {
-    t->series.AddGauge("txn_commits", [sum_counter] {
-      return static_cast<double>(sum_counter(&Metrics::txn_commits));
-    });
-    t->series.AddGauge("txn_aborts", [sum_counter] {
-      return static_cast<double>(sum_counter(&Metrics::txn_aborts));
-    });
-    t->series.AddGauge("deadlocks", [sum_counter] {
-      return static_cast<double>(sum_counter(&Metrics::deadlocks));
-    });
-    t->series.AddGauge("lock_wait_s", [sum_counter] {
-      return sum_counter(&Metrics::lock_wait_ns) / 1e9;
-    });
-    t->series.AddGauge("undo_bytes", [sum_counter] {
-      return static_cast<double>(sum_counter(&Metrics::undo_bytes));
-    });
-    t->series.AddGauge("redo_bytes", [sum_counter] {
-      return static_cast<double>(sum_counter(&Metrics::redo_bytes));
-    });
-    t->series.AddGauge("dirty_writebacks", [sum_counter] {
-      return static_cast<double>(
-          sum_counter(&Metrics::dirty_page_writebacks));
-    });
+    gauge("txn_commits", &Metrics::txn_commits);
+    gauge("txn_aborts", &Metrics::txn_aborts);
+    gauge("deadlocks", &Metrics::deadlocks);
+    gauge("lock_wait_s", &Metrics::lock_wait_ns, /*divisor=*/1e9);
+    gauge("undo_bytes", &Metrics::undo_bytes);
+    gauge("redo_bytes", &Metrics::redo_bytes);
+    gauge("dirty_writebacks", &Metrics::dirty_page_writebacks);
   }
   // Reclustering probes, only when the run has a reorganizer — another
   // column-set gate (the recluster=false bit-identity invariant).
-  if (spec.recluster && heat != nullptr && reorg != nullptr) {
+  if (spec.recluster) {
     // The headline gauge: mean distinct pages per composition traversal.
     // Falls toward the group size / page capacity ratio as migration
     // co-locates the hot paths.
-    t->series.AddGauge("clustering_quality",
-                       [heat] { return heat->MeanSpan(); });
-    t->series.AddGauge("heat_samples", [sum_counter] {
-      return static_cast<double>(sum_counter(&Metrics::heat_samples));
-    });
-    t->series.AddGauge("pages_migrated", [reorg] {
-      return static_cast<double>(reorg->ctx.clock.metrics.pages_migrated);
-    });
-    t->series.AddGauge("objects_migrated", [reorg] {
-      return static_cast<double>(reorg->ctx.clock.metrics.objects_migrated);
-    });
-    t->series.AddGauge("migration_aborts", [reorg] {
-      return static_cast<double>(reorg->ctx.clock.metrics.migration_aborts);
-    });
+    series.AddGauge("clustering_quality", [heat] { return heat->MeanSpan(); });
+    gauge("heat_samples", &Metrics::heat_samples);
+    reorg_gauge("pages_migrated", &Metrics::pages_migrated);
+    reorg_gauge("objects_migrated", &Metrics::objects_migrated);
+    reorg_gauge("migration_aborts", &Metrics::migration_aborts);
     // Per-shard clustering quality under a sharded placement: one Perfetto
     // counter track per shard, attributed by the parent page's primary.
     if (stations.size() > 1) {
       for (uint32_t i = 0; i < stations.size(); ++i) {
-        t->series.AddGauge(
-            "shard" + std::to_string(i) + "_clustering_quality",
-            [heat, i] { return heat->MeanSpanForShard(i); });
+        series.AddGauge("shard" + std::to_string(i) + "_clustering_quality",
+                        [heat, i] { return heat->MeanSpanForShard(i); });
       }
     }
   }
-  t->series.AddGauge("resident_handles", [&sessions] {
+  series.AddGauge("resident_handles", [&sessions] {
     uint64_t n = 0;
     for (const auto& s : sessions) n += s->ctx.handles.handles.size();
     return static_cast<double>(n);
   });
-  t->series.AddGauge("transient_hwm_bytes", [&sessions] {
-    uint64_t hwm = 0;
-    for (const auto& s : sessions) {
-      hwm = std::max(hwm, s->ctx.clock.transient_hwm_bytes);
-    }
-    return static_cast<double>(hwm);
-  });
-  t->series.AddGauge("handle_hwm_bytes", [&sessions] {
-    uint64_t hwm = 0;
-    for (const auto& s : sessions) {
-      hwm = std::max(hwm, s->ctx.clock.handle_hwm_bytes);
-    }
-    return static_cast<double>(hwm);
-  });
-  t->series.AddGauge("latency_p50_s",
-                     [t] { return t->running_latencies.Quantile(0.50) / 1e9; });
-  t->series.AddGauge("latency_p95_s",
-                     [t] { return t->running_latencies.Quantile(0.95) / 1e9; });
-  t->series.AddGauge("latency_p99_s",
-                     [t] { return t->running_latencies.Quantile(0.99) / 1e9; });
+  max_gauge("transient_hwm_bytes", &SimClock::transient_hwm_bytes);
+  max_gauge("handle_hwm_bytes", &SimClock::handle_hwm_bytes);
+  series.AddGauge("latency_p50_s",
+                  [t] { return t->running_latencies.Quantile(0.50) / 1e9; });
+  series.AddGauge("latency_p95_s",
+                  [t] { return t->running_latencies.Quantile(0.95) / 1e9; });
+  series.AddGauge("latency_p99_s",
+                  [t] { return t->running_latencies.Quantile(0.99) / 1e9; });
 }
 
 /// Parses, binds and plans one generated query on the currently bound
@@ -292,7 +268,6 @@ Result<PreparedQuery> Prepare(Database* db, const WorkloadSpec& spec,
                               const GeneratedQuery& gq) {
   PreparedQuery prep;
   if (gq.is_update) {
-    prep.is_dml = true;
     oql::Statement stmt;
     TB_ASSIGN_OR_RETURN(stmt, oql::ParseStatement(gq.oql));
     TB_ASSIGN_OR_RETURN(prep.dml, BindDml(db, stmt));
@@ -312,37 +287,26 @@ Result<PreparedQuery> Prepare(Database* db, const WorkloadSpec& spec,
   return prep;
 }
 
-/// The discrete-event loop: pop the (time, client) pair with the smallest
-/// time (ties by client id — total determinism), run that client's next
-/// query atomically under its bindings, push its next event.
 /// Runs one prepared update statement as its own transaction on the bound
 /// session: Begin (client-attributed), the DML body under the lock hook,
 /// Commit — or Abort (rollback through the undo log) when the body fails.
-/// Returns whether the statement committed; Begin/Abort machinery failures
-/// are engine bugs and surface as hard errors through *hard_error.
-bool RunUpdateTxn(Database* db, TxnManager* txns, const PreparedQuery& prep,
-                  uint32_t client_id, Status* hard_error) {
-  Result<Transaction*> txn = txns->Begin(client_id);
-  if (!txn.ok()) {
-    *hard_error = txn.status();
-    return false;
-  }
-  Result<DmlStats> ran = RunDml(db, txns, prep.dml);
-  if (ran.ok()) {
-    Status commit = txns->Commit(*txn);
-    if (commit.ok()) return true;
-    *hard_error = commit;
-    return false;
-  }
-  Status abort = txns->Abort(*txn);
-  if (!abort.ok()) *hard_error = abort;
-  return false;
+/// Sets whether the statement's body succeeded; a Begin/Commit/Abort
+/// machinery failure is an engine bug and comes back as the error.
+Status RunUpdateTxn(Database* db, TxnManager* txns, const PreparedQuery& prep,
+                    uint32_t client_id, bool* committed) {
+  Transaction* txn = nullptr;
+  TB_ASSIGN_OR_RETURN(txn, txns->Begin(client_id));
+  *committed = RunDml(db, txns, prep.dml).ok();
+  return *committed ? txns->Commit(txn) : txns->Abort(txn);
 }
 
+/// The discrete-event loop: pop the (time, client) pair with the smallest
+/// time (ties by client id — total determinism), run that client's next
+/// query atomically under its bindings, push its next event.
 Status RunEventLoop(Database* db, const WorkloadSpec& spec,
                     const std::vector<std::unique_ptr<ClientSession>>& sessions,
                     TxnManager* txns, Reorganizer* reorg,
-                    double reorg_interval_ns, TelemetryHooks* hooks) {
+                    TelemetryHooks* hooks) {
   using Event = std::pair<double, uint32_t>;  // (virtual ns, client id)
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
   for (const auto& s : sessions) heap.emplace(0.0, s->id());
@@ -354,20 +318,14 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
   // an id past every client (ties resolve clients-first, deterministically).
   // Its first wake-up is one interval in — clients get to build heat first.
   const uint32_t reorg_id = static_cast<uint32_t>(sessions.size());
-  if (reorg != nullptr) heap.emplace(reorg_interval_ns, reorg_id);
-
-  auto any_client_live = [&] {
-    for (const auto& s : sessions) {
-      if (s->queries_issued < total_per_client) return true;
-    }
-    return false;
-  };
+  if (reorg != nullptr) heap.emplace(spec.recluster_interval_ns, reorg_id);
+  size_t live_clients = sessions.size();
 
   while (!heap.empty()) {
     auto [when, id] = heap.top();
     heap.pop();
 
-    if (reorg != nullptr && id == reorg_id) {
+    if (id == reorg_id) {
       // Background maintenance round: runs on the reorganizer's own clock /
       // cache / handle table, contends on the shared stations like any
       // client, and re-arms only while foreground work remains (the run
@@ -378,17 +336,13 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
         ExecScope bound = db->Bind(&reorg->ctx);
         TB_RETURN_IF_ERROR(reorg->RunRound());
       }
+      const double t1 = reorg->ctx.clock.clock_ns;
       if (hooks->t != nullptr) {
-        hooks->t->query_slices.push_back(
-            {/*track=*/hooks->t->num_clients + 1 + hooks->t->num_shards,
-             "recluster", t0, reorg->ctx.clock.clock_ns - t0});
+        hooks->t->query_slices.push_back({hooks->t->ReorganizerTrack(),
+                                          "recluster", t0, t1 - t0, ""});
       }
-      if (hooks->qlog != nullptr) {
-        hooks->qlog->AddReorgRound(t0, reorg->ctx.clock.clock_ns);
-      }
-      if (any_client_live()) {
-        heap.emplace(reorg->ctx.clock.clock_ns + reorg_interval_ns, reorg_id);
-      }
+      if (hooks->qlog) hooks->qlog->AddReorgRound(t0, t1);
+      if (live_clients > 0) heap.emplace(t1 + spec.recluster_interval_ns, id);
       continue;
     }
 
@@ -400,7 +354,7 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     // admitted() snapshots bracketing the same region as the m0 Metrics
     // snapshot (re-taken after preparation when it succeeds, below).
     auto snapshot_admitted = [hooks] {
-      if (hooks->qlog == nullptr || hooks->stations == nullptr) return;
+      if (!hooks->qlog) return;
       hooks->admitted_before.resize(hooks->stations->size());
       for (uint32_t sh = 0; sh < hooks->stations->size(); ++sh) {
         hooks->admitted_before[sh] = hooks->stations->Station(sh).admitted();
@@ -409,14 +363,12 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     snapshot_admitted();
     const double prep_start_ns = s->ctx.clock.clock_ns;
     const Metrics prep_start_metrics = s->ctx.clock.metrics;
-    auto prepared = Prepare(db, spec, gq);
-    if (!prepared.ok() && !db->sim().faults().armed()) {
+    const Result<PreparedQuery> prep = Prepare(db, spec, gq);
+    const bool prep_ok = prep.ok();
+    if (!prep_ok && !db->sim().faults().armed()) {
       // Not a fault campaign: a preparation failure is a spec/engine bug.
-      return prepared.status();
+      return prep.status();
     }
-    bool prep_ok = prepared.ok();
-    PreparedQuery prep;
-    if (prep_ok) prep = std::move(prepared).value();
 
     if (prep_ok && spec.cold_per_query) {
       // The single-client paper methodology: server shutdown before every
@@ -439,12 +391,10 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     const Metrics m0 = prep_ok ? s->ctx.clock.metrics : prep_start_metrics;
     if (prep_ok) snapshot_admitted();
     bool ok = false;
-    if (prep_ok && prep.is_dml) {
-      Status hard_error = Status::OK();
-      ok = RunUpdateTxn(db, txns, prep, id, &hard_error);
-      if (!hard_error.ok()) return hard_error;
+    if (prep_ok && gq.is_update) {
+      TB_RETURN_IF_ERROR(RunUpdateTxn(db, txns, *prep, id, &ok));
     } else if (prep_ok) {
-      ok = RunBoundPlan(db, prep.bound, prep.plan, /*cold=*/false).ok();
+      ok = RunBoundPlan(db, prep->bound, prep->plan, /*cold=*/false).ok();
     }
     const double t1 = s->ctx.clock.clock_ns;
     const bool measured = s->queries_issued >= spec.warmup_queries_per_client;
@@ -452,33 +402,33 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     // Assemble the flight-recorder record first: its delta also feeds the
     // Perfetto slice args below. Everything here only READS state the loop
     // already computed — no counter, no clock, no rng is touched.
+    const char* kind =
+        gq.is_update ? "update" : (gq.is_tree ? "tree" : "selection");
     telemetry::QueryRecord qrec;
-    if (hooks->qlog != nullptr) {
+    if (hooks->qlog) {
       qrec.client = id;
       qrec.seq = s->queries_issued;
-      qrec.kind = gq.is_update ? "update" : (gq.is_tree ? "tree" : "selection");
+      qrec.kind = kind;
       if (!prep_ok) {
         qrec.algo = "unprepared";
-      } else if (prep.is_dml) {
+      } else if (gq.is_update) {
         qrec.algo = "txn";
-      } else if (prep.plan.is_tree) {
-        qrec.algo = std::string(AlgoName(prep.plan.algo));
+      } else if (prep->plan.is_tree) {
+        qrec.algo = std::string(AlgoName(prep->plan.algo));
       } else {
-        qrec.algo = std::string(SelectionModeName(prep.plan.selection_mode));
+        qrec.algo = std::string(SelectionModeName(prep->plan.selection_mode));
       }
       qrec.measured = measured;
       qrec.ok = ok;
-      qrec.aborted = prep_ok && prep.is_dml && !ok;
+      qrec.aborted = prep_ok && gq.is_update && !ok;
       qrec.start_ns = t0;
       qrec.end_ns = t1;
       qrec.delta = s->ctx.clock.metrics.Diff(m0);
       qrec.deadlock_victim = qrec.aborted && qrec.delta.deadlocks > 0;
-      if (hooks->stations != nullptr) {
-        for (uint32_t sh = 0; sh < hooks->stations->size(); ++sh) {
-          if (hooks->stations->Station(sh).admitted() >
-              hooks->admitted_before[sh]) {
-            ++qrec.shards_touched;
-          }
+      for (uint32_t sh = 0; sh < hooks->stations->size(); ++sh) {
+        if (hooks->stations->Station(sh).admitted() >
+            hooks->admitted_before[sh]) {
+          ++qrec.shards_touched;
         }
       }
     }
@@ -487,23 +437,17 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
       // Record the slice / latency / sample BEFORE the report bookkeeping so
       // the running histogram matches the report's at every completion.
       hooks->probe_now = std::max(hooks->probe_now, t1);
-      telemetry::TraceSlice slice{
-          /*track=*/id + 1,
-          gq.is_update ? "update" : (gq.is_tree ? "tree" : "selection"), t0,
-          t1 - t0};
-      if (hooks->qlog != nullptr) slice.args = telemetry::SliceArgsJson(qrec);
-      hooks->t->query_slices.push_back(std::move(slice));
+      hooks->t->query_slices.push_back(
+          {hooks->t->ClientTrack(id), kind, t0, t1 - t0,
+           hooks->qlog ? telemetry::SliceArgsJson(qrec) : ""});
       if (measured && ok) hooks->t->running_latencies.Record(t1 - t0);
-      if (hooks->t->series.Tick(t1) && db->sim().stations() != nullptr) {
-        // A row was emitted: open a fresh peak-backlog window on every
-        // shard.
-        db->sim().stations()->ResetPeakMarks();
-      }
+      // A row was emitted: open a fresh peak-backlog window on every shard.
+      if (hooks->t->series.Tick(t1)) hooks->stations->ResetPeakMarks();
     }
-    if (hooks->qlog != nullptr) hooks->qlog->Add(std::move(qrec));
+    if (hooks->qlog) hooks->qlog->Add(std::move(qrec));
     // SLO objectives see every measured completion (ok or failed) at its
     // completion tick — the same population as the report rollups.
-    if (hooks->slo != nullptr && measured) {
+    if (hooks->slo && measured) {
       hooks->slo->OnQuery(t1, t1 - t0, ok);
     }
 
@@ -529,6 +473,8 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     if (s->queries_issued < total_per_client) {
       s->ctx.clock.clock_ns += s->NextThinkNs();
       heap.emplace(s->ctx.clock.clock_ns, s->id());
+    } else {
+      --live_clients;
     }
   }
   return Status::OK();
@@ -542,16 +488,15 @@ WorkloadReport AssembleReport(
   WorkloadReport rep;
   rep.spec = spec;
 
-  if (reorg != nullptr && heat != nullptr) {
-    rep.has_recluster = true;
+  if (reorg != nullptr) {
     rep.recluster = reorg->ctx.clock.metrics;
     rep.recluster_rounds = reorg->rounds();
     rep.clustering_quality = heat->MeanSpan();
   }
 
   double min_start = 0, max_end = 0;
-  bool first = true;
   for (const auto& s : sessions) {
+    const bool first = rep.clients.empty();
     ClientReport c;
     c.client_id = s->id();
     c.queries = s->measured_queries;
@@ -572,7 +517,6 @@ WorkloadReport AssembleReport(
     if (first || c.end_seconds > max_end) max_end = c.end_seconds;
     if (first || c.qps < rep.min_client_qps) rep.min_client_qps = c.qps;
     if (first || c.qps > rep.max_client_qps) rep.max_client_qps = c.qps;
-    first = false;
 
     rep.clients.push_back(std::move(c));
   }
@@ -751,37 +695,32 @@ std::string WorkloadTelemetry::ChromeTraceJson() const {
   telemetry::ChromeTraceBuilder b;
   b.SetProcessName("treebench workload");
   for (uint32_t i = 0; i < num_clients; ++i) {
-    b.SetThreadName(i + 1, "client " + std::to_string(i));
+    b.SetThreadName(ClientTrack(i), "client " + std::to_string(i));
   }
   // One server track per shard; the classic single server keeps its plain
   // "server" name.
   for (uint32_t sh = 0; sh < num_shards; ++sh) {
-    b.SetThreadName(num_clients + 1 + sh,
-                    num_shards == 1 ? std::string("server")
-                                    : "server " + std::to_string(sh));
+    b.SetThreadName(ServerTrack(sh), num_shards == 1
+                                         ? std::string("server")
+                                         : "server " + std::to_string(sh));
   }
-  if (has_reorganizer) {
-    b.SetThreadName(num_clients + 1 + num_shards, "reorganizer");
-  }
-  // SLO alert transitions render as instant events on their own track,
-  // placed after every other track. The track (and its name metadata)
-  // exists only when objectives actually ran, so traces without an SLO
-  // config keep their exact byte shape.
-  const uint32_t alerts_tid =
-      num_clients + 1 + num_shards + (has_reorganizer ? 1 : 0);
-  if (!slo_alerts.empty()) b.SetThreadName(alerts_tid, "alerts");
+  if (has_reorganizer) b.SetThreadName(ReorganizerTrack(), "reorganizer");
+  // The alerts track (and its name metadata) exists only when objectives
+  // actually ran, so traces without an SLO config keep their exact byte
+  // shape.
+  if (!slo_alerts.empty()) b.SetThreadName(AlertsTrack(), "alerts");
   for (const telemetry::TraceSlice& s : query_slices) {
     b.AddSlice(s.track, s.name, s.start_ns, s.dur_ns, s.args);
   }
   for (const telemetry::SloAlertEvent& a : slo_alerts) {
-    b.AddInstant(alerts_tid, a.objective + (a.fired ? " FIRE" : " CLEAR"),
+    b.AddInstant(AlertsTrack(), a.objective + (a.fired ? " FIRE" : " CLEAR"),
                  a.t_ns,
                  "{\"burn_long\":" + FormatNumber(a.burn_long) +
                      ",\"burn_short\":" + FormatNumber(a.burn_short) + "}");
   }
   for (uint32_t sh = 0; sh < server_service.size(); ++sh) {
     for (const auto& [start, end] : server_service[sh]) {
-      b.AddSlice(num_clients + 1 + sh, "service", start, end - start);
+      b.AddSlice(ServerTrack(sh), "service", start, end - start);
     }
   }
   // Counter tracks: rows outer so events are (nearly) time-sorted.
@@ -812,31 +751,21 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
 
   // The reorganizer becomes one more event source in the loop.
   std::unique_ptr<Reorganizer> reorg;
-  double reorg_interval_ns = 0;
   if (spec.recluster) {
-    reorg = std::make_unique<Reorganizer>(db, scope.txns(), heat,
-                                          /*client_id=*/spec.num_clients);
-    reorg->set_page_budget(spec.recluster_page_budget);
-    reorg->set_thresholds(spec.recluster_min_heat, spec.recluster_min_span);
-    reorg_interval_ns = spec.recluster_interval_ns > 0
-                            ? spec.recluster_interval_ns
-                            : db->sim().model().recluster_interval_ns;
+    reorg = std::make_unique<Reorganizer>(
+        db, scope.txns(), heat, /*client_id=*/spec.num_clients,
+        spec.recluster_page_budget, spec.recluster_min_heat,
+        spec.recluster_min_span);
   }
 
   // Query flight recorder + SLO engine: both flag-off by default, both pure
   // observers. With the flags off neither is allocated and the loop takes
   // the exact pre-recorder path (the off-mode byte-identity contract).
-  std::unique_ptr<telemetry::QueryLogRecorder> qlog;
-  if (spec.query_log) qlog = std::make_unique<telemetry::QueryLogRecorder>();
-  std::unique_ptr<telemetry::SloMonitor> slo;
-  if (!spec.slo_objectives.empty()) {
-    slo = std::make_unique<telemetry::SloMonitor>(spec.slo_objectives);
-  }
-
-  TelemetryHooks hooks{telemetry};
-  hooks.qlog = qlog.get();
-  hooks.slo = slo.get();
+  TelemetryHooks hooks;
+  hooks.t = telemetry;
   hooks.stations = &stations;
+  if (spec.query_log) hooks.qlog.emplace();
+  if (!spec.slo_objectives.empty()) hooks.slo.emplace(spec.slo_objectives);
   if (telemetry != nullptr) {
     telemetry->num_clients = spec.num_clients;
     telemetry->num_shards = stations.size();
@@ -849,8 +778,8 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
                   reorg.get());
   }
 
-  Status loop_status = RunEventLoop(db, spec, sessions, scope.txns(),
-                                    reorg.get(), reorg_interval_ns, &hooks);
+  Status loop_status =
+      RunEventLoop(db, spec, sessions, scope.txns(), reorg.get(), &hooks);
 
   if (telemetry != nullptr) {
     // Final sample at the last completion, then detach the probes — they
@@ -867,16 +796,14 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
   WorkloadReport report =
       AssembleReport(spec, sessions, stations, db, heat, reorg.get());
 
-  if (qlog != nullptr) {
-    qlog->Finalize();
-    report.has_query_log = true;
-    report.tail = telemetry::TailReport::Build(*qlog, /*top_k=*/5);
-    report.query_log = std::move(*qlog);
+  if (hooks.qlog) {
+    hooks.qlog->Finalize();
+    report.tail = telemetry::TailReport::Build(*hooks.qlog, /*top_k=*/5);
+    report.query_log = std::move(*hooks.qlog);
   }
-  if (slo != nullptr) {
-    report.has_slo = true;
-    report.slo_objectives = slo->Summaries();
-    report.slo_alerts = slo->alerts();
+  if (hooks.slo) {
+    report.slo_objectives = hooks.slo->Summaries();
+    report.slo_alerts = hooks.slo->alerts();
     if (telemetry != nullptr) telemetry->slo_alerts = report.slo_alerts;
   }
 
@@ -884,14 +811,12 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
   // simulated handle memory registered against the machine is released.
   // Session caches are simply destroyed (their unflushed pages vanish, like
   // a client process exiting) — they were never registered against RAM.
-  for (const auto& s : sessions) {
-    ExecScope bound = db->Bind(&s->ctx);
+  auto drop_handles = [db](ExecContext* ctx) {
+    ExecScope bound = db->Bind(ctx);
     db->store().DropAllHandles();
-  }
-  if (reorg != nullptr) {
-    ExecScope bound = db->Bind(&reorg->ctx);
-    db->store().DropAllHandles();
-  }
+  };
+  for (const auto& s : sessions) drop_handles(&s->ctx);
+  if (reorg != nullptr) drop_handles(&reorg->ctx);
   Status restore_status = scope.Close();
   TB_RETURN_IF_ERROR(loop_status);
   TB_RETURN_IF_ERROR(restore_status);

@@ -33,8 +33,9 @@ struct WorkloadTelemetry {
   /// high-water marks, running latency percentiles).
   telemetry::TimeSeriesRecorder series;
 
-  /// One slice per executed query (warmup included): track = client id + 1,
-  /// name "tree"/"selection", [t0, t1) of the measured execution region.
+  /// One slice per executed query (warmup included) on its client's track,
+  /// named "update"/"tree"/"selection", [t0, t1) of the measured execution
+  /// region; plus one "recluster" slice per reorganizer round.
   std::vector<telemetry::TraceSlice> query_slices;
 
   /// Per-shard (service start, completion) intervals of the page-server
@@ -47,12 +48,25 @@ struct WorkloadTelemetry {
   /// percentiles agree bit-for-bit.
   telemetry::Histogram running_latencies;
 
-  /// Filled by RunWorkload (used by ChromeTraceJson for track naming).
+  /// Filled by RunWorkload; they fix the track layout below.
   uint32_t num_clients = 0;
   uint32_t num_shards = 1;
   /// True when the run had a background reorganizer: it gets its own trace
   /// track (after the server tracks) carrying one slice per round.
   bool has_reorganizer = false;
+
+  /// The trace's track layout (Perfetto tids): tid 0 is the process, then
+  /// one track per client, one per shard's server, the reorganizer's when
+  /// it ran, and the alerts track last. The event loop files its slices
+  /// and ChromeTraceJson names the tracks through these alone.
+  uint32_t ClientTrack(uint32_t client) const { return client + 1; }
+  uint32_t ServerTrack(uint32_t shard) const {
+    return num_clients + 1 + shard;
+  }
+  uint32_t ReorganizerTrack() const { return ServerTrack(num_shards); }
+  uint32_t AlertsTrack() const {
+    return ReorganizerTrack() + (has_reorganizer ? 1 : 0);
+  }
 
   /// SLO alert transitions, copied from the run's SloMonitor (empty unless
   /// the spec configured objectives). ChromeTraceJson renders them as
@@ -61,8 +75,8 @@ struct WorkloadTelemetry {
   /// exact byte shape.
   std::vector<telemetry::SloAlertEvent> slo_alerts;
 
-  /// Perfetto/chrome://tracing JSON: one track per client, one for the
-  /// server station, plus one counter track per time-series column.
+  /// Perfetto/chrome://tracing JSON: the tracks of the layout above, plus
+  /// one counter track per time-series column.
   std::string ChromeTraceJson() const;
 };
 

@@ -104,7 +104,7 @@ std::string WorkloadReport::ToJson() const {
   // Reclustering section: present only when the reorganizer ran, so
   // recluster-off reports keep their exact byte shape (the hard gate in
   // tests/recluster_test.cc).
-  if (has_recluster) {
+  if (spec.recluster) {
     out += "  \"recluster\": {\n";
     AppendKV(&out, "    ", "rounds", recluster_rounds);
     AppendKV(&out, "    ", "clustering_quality", clustering_quality);
@@ -115,7 +115,7 @@ std::string WorkloadReport::ToJson() const {
   // Query flight recorder: a compact summary plus the tail attribution
   // (the full per-query stream exports as JSONL/CSV via the recorder, not
   // here). Present only when the spec enabled the recorder.
-  if (has_query_log) {
+  if (spec.query_log) {
     out += "  \"query_log\": {\n";
     AppendKV(&out, "    ", "records", uint64_t{query_log.records().size()});
     AppendKV(&out, "    ", "reorg_rounds",
@@ -126,7 +126,7 @@ std::string WorkloadReport::ToJson() const {
 
   // SLO engine: per-objective attainment plus the deterministic alert
   // timeline. Present only when the spec configured objectives.
-  if (has_slo) {
+  if (!spec.slo_objectives.empty()) {
     out += "  \"slo\": {\n    \"objectives\": [\n";
     for (size_t i = 0; i < slo_objectives.size(); ++i) {
       const telemetry::SloObjectiveSummary& o = slo_objectives[i];

@@ -90,10 +90,9 @@ struct WorkloadReport {
   /// Sum of every client's measured-phase Metrics.
   Metrics totals;
 
-  /// Online adaptive reclustering (docs/clustering_model.md). Present only
-  /// when the spec enabled the reorganizer; a recluster=false run leaves
+  /// Online adaptive reclustering (docs/clustering_model.md). Filled and
+  /// exported only when spec.recluster is set; a recluster=false run leaves
   /// all of this at its defaults and the JSON keeps its classic shape.
-  bool has_recluster = false;
   /// The background reorganizer's own clock metrics (migration reads and
   /// writes, pages/objects moved, aborts) — deliberately NOT folded into
   /// `totals`, which stays a clients-only rollup.
@@ -103,18 +102,16 @@ struct WorkloadReport {
   /// the clustering-quality gauge's final value (lower = better clustered).
   double clustering_quality = 0;
 
-  /// Query flight recorder (docs/observability.md). Present only when
-  /// spec.query_log was set; a disabled run leaves both at their defaults
-  /// and the JSON keeps its classic shape.
-  bool has_query_log = false;
+  /// Query flight recorder (docs/observability.md). Filled and exported
+  /// only when spec.query_log is set; a disabled run leaves both at their
+  /// defaults and the JSON keeps its classic shape.
   /// The finalized per-query records (reorg-overlap flags computed).
   telemetry::QueryLogRecorder query_log;
   /// Tail attribution over the log (top-5 slowest + p99-p50 decomposition).
   telemetry::TailReport tail;
 
-  /// SLO engine results. Present only when spec.slo_objectives was
-  /// non-empty; same shape-preserving rule.
-  bool has_slo = false;
+  /// SLO engine results. Filled and exported only when
+  /// spec.slo_objectives is non-empty; same shape-preserving rule.
   std::vector<telemetry::SloObjectiveSummary> slo_objectives;
   /// Deterministic fire/clear transitions in virtual-time order.
   std::vector<telemetry::SloAlertEvent> slo_alerts;

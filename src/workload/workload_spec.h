@@ -95,11 +95,17 @@ struct WorkloadSpec {
   /// reorganizer every recluster_interval_ns of virtual time; migrated
   /// placement persists in the database after the run.
   bool recluster = false;
-  /// Overrides of the CostModel's recluster knobs; 0 keeps each default.
-  double recluster_interval_ns = 0;
-  uint32_t recluster_page_budget = 0;
-  double recluster_min_heat = 0;
-  double recluster_min_span = 0;
+  /// Cadence of the reorganizer's wake-ups in virtual time (> 0; the first
+  /// one comes one interval into the run).
+  double recluster_interval_ns = 5e9;  // 5 s
+  /// Per-round migration budget (>= 1): at most this many distinct source
+  /// pages are rewritten per wake-up, so foreground clients never starve.
+  uint32_t recluster_page_budget = 32;
+  /// Selection thresholds (>= 0): a parent is a hot scattered path once
+  /// its decayed traversal heat reaches recluster_min_heat and its mean
+  /// distinct pages per traversal reaches recluster_min_span.
+  double recluster_min_heat = 2.0;
+  double recluster_min_span = 2.0;
 
   /// ---- Query flight recorder + SLO engine (docs/observability.md) ----
   /// false — the default — allocates no recorder and snapshots nothing: the

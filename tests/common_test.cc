@@ -249,12 +249,23 @@ TEST(ArtifactTest, JsonEscapeCoversQuotesBackslashesAndControls) {
   EXPECT_EQ(JsonEscape("caf\xc3\xa9\x7f"), "caf\xc3\xa9\x7f");
 }
 
+TEST(ArtifactTest, CsvQuoteDoublesEmbeddedQuotes) {
+  EXPECT_EQ(CsvQuote(""), R"("")");
+  EXPECT_EQ(CsvQuote("a, b"), R"("a, b")");
+  EXPECT_EQ(CsvQuote(R"(select "x")"), R"("select ""x""")");
+  EXPECT_EQ(CsvQuote(R"(")"), R"("""")");
+}
+
 TEST(ArtifactTest, NumberAndIntegerTokens) {
   EXPECT_EQ(FormatNumber(0), "0");
   EXPECT_EQ(FormatNumber(1.5), "1.5");
   EXPECT_EQ(FormatNumber(1.0 / 3), "0.333333333");
   EXPECT_EQ(FormatNumber(123456789012.0), "1.23456789e+11");
   EXPECT_EQ(FormatNumber(-2.5e-7), "-2.5e-07");
+  EXPECT_EQ(FormatFixed(2.5, 3), "2.500");
+  EXPECT_EQ(FormatFixed(1.0 / 3, 4), "0.3333");
+  // No length cap: 71 integer digits, the point and two decimals.
+  EXPECT_EQ(FormatFixed(1e70, 2).size(), 74u);
   EXPECT_EQ(FormatUint(0), "0");
   EXPECT_EQ(FormatUint(18446744073709551615ull), "18446744073709551615");
 }

@@ -224,7 +224,7 @@ TEST(ReclusterTest, MigrationPreservesResultsAcrossAllAlgorithms) {
 
   auto report = RunWorkload(derby.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_TRUE(report->has_recluster);
+  ASSERT_NE(report->ToJson().find("\n  \"recluster\": {"), std::string::npos);
   EXPECT_GT(report->recluster_rounds, 0u);
   EXPECT_GT(report->recluster.pages_migrated, 0u)
       << "the randomized placement never triggered a migration";
@@ -318,9 +318,8 @@ TEST(ReclusterTest, CrashMidMigrationRollsBackBitForBit) {
   ASSERT_TRUE(db->cache().Shutdown().ok());
   const std::vector<std::string> before = DiskImage(db->disk());
 
-  Reorganizer reorg(db, &txns, &heat, /*client_id=*/99);
-  reorg.set_thresholds(/*min_heat=*/1.0, /*min_span=*/1.5);
-  reorg.set_page_budget(256);
+  Reorganizer reorg(db, &txns, &heat, /*client_id=*/99, /*page_budget=*/256,
+                    /*min_heat=*/1.0, /*min_span=*/1.5);
   reorg.set_fail_after_objects(1);  // every group dies on its first copy
   {
     ExecScope bound = db->Bind(&reorg.ctx);
@@ -353,9 +352,8 @@ TEST(ReclusterTest, RoundAfterAbortedRoundStillMigrates) {
     ASSERT_TRUE(RunTreeQuery(db, q, TreeJoinAlgo::kNL).ok());
   }
 
-  Reorganizer reorg(db, &txns, &heat, /*client_id=*/99);
-  reorg.set_thresholds(1.0, 1.5);
-  reorg.set_page_budget(256);
+  Reorganizer reorg(db, &txns, &heat, /*client_id=*/99, /*page_budget=*/256,
+                    /*min_heat=*/1.0, /*min_span=*/1.5);
   reorg.set_fail_after_objects(1);
   {
     ExecScope bound = db->Bind(&reorg.ctx);
@@ -401,7 +399,7 @@ TEST(ReclusterTest, DisabledTrackerKeepsReportAndDiskBitIdentical) {
   }();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
-  EXPECT_FALSE(a->has_recluster);
+  EXPECT_EQ(a->ToJson().find("\n  \"recluster\": {"), std::string::npos);
   EXPECT_EQ(a->ToJson(), b->ToJson());
   EXPECT_EQ(a->totals.heat_samples, 0u);
   EXPECT_EQ(heat.tracked_pages(), 0u);

@@ -138,6 +138,25 @@ TEST(StatStoreTest, WorkloadFieldsRoundTripThroughCsv) {
   std::remove(path.c_str());
 }
 
+TEST(StatStoreTest, CsvRowKeepsEveryColumnOfALongQuery) {
+  StatRecord r = MakeRecord("NL", 12.5, 2, 10);
+  r.query_text = std::string(1100, 'q');
+  r.num_clients = 16;
+  r.latency_p99_s = 3.125;
+  const std::string row = r.ToCsvRow();
+  EXPECT_EQ(std::count(row.begin(), row.end(), ','), 24);
+  EXPECT_NE(row.find(",\"" + r.query_text + "\",1,"), std::string::npos);
+  EXPECT_TRUE(row.ends_with(",16,0.000,0.0000,0.0000,3.1250")) << row;
+}
+
+TEST(StatStoreTest, CsvRowQuotesTheQueryPerRfc4180) {
+  StatRecord r = MakeRecord("NL", 12.5, 2, 10);
+  r.query_text = "select \"x\"";
+  EXPECT_NE(r.ToCsvRow().find(",\"select \"\"x\"\"\",1,"),
+            std::string::npos)
+      << r.ToCsvRow();
+}
+
 TEST(StatStoreTest, GnuplotExportPivots) {
   StatStore store;
   store.Add(MakeRecord("NL", 100, 10, 10));

@@ -9,8 +9,11 @@
 //    deltas reproduces the report's totals field-for-field.
 //  * DETERMINISM — logs, tail reports and alert timelines are bit-stable
 //    across same-seed runs on independently built databases.
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/benchdb/derby.h"
@@ -81,10 +84,8 @@ WorkloadReport Stripped(const WorkloadReport& r) {
   WorkloadReport s = r;
   s.spec.query_log = false;
   s.spec.slo_objectives.clear();
-  s.has_query_log = false;
   s.query_log = telemetry::QueryLogRecorder();
   s.tail = telemetry::TailReport();
-  s.has_slo = false;
   s.slo_objectives.clear();
   s.slo_alerts.clear();
   return s;
@@ -108,8 +109,9 @@ TEST(WorkloadObsTest, RecorderAndMonitorArePureObservers) {
   auto obs = RunWorkload(derby_obs.get(), obs_spec);
   ASSERT_TRUE(obs.ok()) << obs.status().ToString();
 
-  ASSERT_TRUE(obs->has_query_log);
-  ASSERT_TRUE(obs->has_slo);
+  const std::string obs_json = obs->ToJson();
+  ASSERT_NE(obs_json.find("\n  \"query_log\": {"), std::string::npos);
+  ASSERT_NE(obs_json.find("\n  \"slo\": {"), std::string::npos);
   EXPECT_FALSE(obs->query_log.records().empty());
 
   // The plain report never mentions the observability sections at all.
@@ -185,7 +187,7 @@ TEST(WorkloadObsTest, AlertTimelineIsDeterministicAndCoherent) {
   auto a = RunWorkload(derby_a.get(), ShardCrashSpec());
   auto b = RunWorkload(derby_b.get(), ShardCrashSpec());
   ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(a->has_slo);
+  ASSERT_NE(a->ToJson().find("\n  \"slo\": {"), std::string::npos);
   EXPECT_GT(a->failed_queries, 0u);
 
   ASSERT_FALSE(a->slo_alerts.empty()) << "crash window never fired";
@@ -314,7 +316,7 @@ TEST(WorkloadObsTest, ReorganizerRoundsLandInTheFlightRecorder) {
   spec.recluster_min_span = 1.5;
   auto report = RunWorkload(derby.get(), spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_TRUE(report->has_recluster);
+  ASSERT_NE(report->ToJson().find("\n  \"recluster\": {"), std::string::npos);
   // Every reorganizer round the run executed is an interval in the log.
   EXPECT_EQ(report->query_log.reorg_rounds().size(),
             report->recluster_rounds);
@@ -333,6 +335,113 @@ TEST(WorkloadObsTest, SlicesAndRecordsAgree) {
   for (size_t i = 0; i < tel.query_slices.size(); ++i) {
     EXPECT_EQ(tel.query_slices[i].args,
               telemetry::SliceArgsJson(report->query_log.records()[i]));
+  }
+}
+
+/// The tid of the trace track named `name` (thread_name metadata), or -1.
+int64_t TrackNamed(const std::string& trace, const std::string& name) {
+  const std::string suffix =
+      ",\"name\":\"thread_name\",\"args\":{\"name\":\"" + name + "\"}}";
+  const size_t end = trace.find(suffix);
+  if (end == std::string::npos) return -1;
+  const size_t tid = trace.rfind("\"tid\":", end);
+  return std::stoll(trace.substr(tid + 6, end - tid - 6));
+}
+
+/// The tids of every event of phase `ph` named `name` in the trace.
+std::vector<int64_t> EventTracks(const std::string& trace,
+                                 const std::string& ph,
+                                 const std::string& name) {
+  std::vector<int64_t> tids;
+  size_t pos = 0;
+  while ((pos = trace.find("{\"ph\":\"" + ph + "\"", pos)) !=
+         std::string::npos) {
+    const size_t eol = trace.find('\n', pos);
+    const std::string event = trace.substr(pos, eol - pos);
+    pos = eol;
+    if (event.find(",\"name\":\"" + name) == std::string::npos) continue;
+    const size_t tid = event.find("\"tid\":") + 6;
+    tids.push_back(std::stoll(event.substr(tid, event.find(',', tid) - tid)));
+  }
+  return tids;
+}
+
+// Pins the telemetry column set of every probe group, in order, and the
+// trace's track layout: the reorganizer's round slices and the SLO alert
+// instants sit on the tracks the trace names "reorganizer" and "alerts".
+TEST(WorkloadObsTest, ProbeColumnsAndTraceTracksArePinned) {
+  using Columns = std::vector<std::string>;
+  const Columns head = {
+      "disk_reads_per_s",       "rpcs_per_s",
+      "handle_gets_per_s",      "batched_rpcs_per_s",
+      "readahead_hits",         "readahead_wasted",
+      "client_cache_pages",     "server_cache_pages",
+      "client_cache_evictions", "server_cache_evictions",
+      "server_in_flight",       "server_queue_depth"};
+  const Columns sharded = {
+      "shard0_in_flight", "shard0_queue_wait_s", "shard0_busy_s",
+      "shard1_in_flight", "shard1_queue_wait_s", "shard1_busy_s",
+      "server_crashes",   "blackholed_rpcs",     "failovers",
+      "degraded_reads"};
+  const Columns txn = {"txn_commits", "txn_aborts", "deadlocks",
+                       "lock_wait_s", "undo_bytes", "redo_bytes",
+                       "dirty_writebacks"};
+  const Columns recluster = {
+      "clustering_quality",        "heat_samples",
+      "pages_migrated",            "objects_migrated",
+      "migration_aborts",          "shard0_clustering_quality",
+      "shard1_clustering_quality"};
+  const Columns tail = {"resident_handles", "transient_hwm_bytes",
+                        "handle_hwm_bytes", "latency_p50_s",
+                        "latency_p95_s",    "latency_p99_s"};
+  auto concat = [](std::initializer_list<const Columns*> parts) {
+    Columns out;
+    for (const Columns* part : parts) {
+      out.insert(out.end(), part->begin(), part->end());
+    }
+    return out;
+  };
+
+  WorkloadSpec two_shard = ContendedSpec(2, 3);
+  two_shard.num_servers = 2;
+  WorkloadSpec update = ContendedSpec(2, 3);
+  update.update_ratio = 0.25;
+  // Every query breaks a 1 ns latency objective, so its alert fires.
+  telemetry::SloObjective slow;
+  slow.name = "latency";
+  slow.kind = telemetry::SloKind::kLatency;
+  slow.latency_threshold_ns = 1;
+  WorkloadSpec reorg = two_shard;
+  reorg.recluster = true;
+  reorg.recluster_interval_ns = 1e6;
+  reorg.slo_objectives.push_back(slow);
+
+  const std::vector<std::pair<WorkloadSpec, Columns>> cases = {
+      {ContendedSpec(2, 3), concat({&head, &tail})},
+      {two_shard, concat({&head, &sharded, &tail})},
+      {update, concat({&head, &txn, &tail})},
+      {reorg, concat({&head, &sharded, &recluster, &tail})}};
+  for (const auto& [spec, columns] : cases) {
+    auto derby = BuildSmallDerby();
+    WorkloadTelemetry tel;
+    auto report = RunWorkload(derby.get(), spec, &tel);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(tel.series.columns(), columns);
+    if (!spec.recluster) continue;
+
+    const std::string trace = tel.ChromeTraceJson();
+    // Two clients and two server tracks come first.
+    const int64_t reorg_track = TrackNamed(trace, "reorganizer");
+    const int64_t alerts_track = TrackNamed(trace, "alerts");
+    EXPECT_EQ(reorg_track, 5);
+    EXPECT_EQ(alerts_track, 6);
+    const std::vector<int64_t> rounds = EventTracks(trace, "X", "recluster");
+    EXPECT_EQ(rounds.size(), report->recluster_rounds);
+    for (int64_t tid : rounds) EXPECT_EQ(tid, reorg_track);
+    const std::vector<int64_t> alerts = EventTracks(trace, "i", "latency");
+    EXPECT_EQ(alerts.size(), report->slo_alerts.size());
+    EXPECT_FALSE(alerts.empty());
+    for (int64_t tid : alerts) EXPECT_EQ(tid, alerts_track);
   }
 }
 

@@ -421,7 +421,7 @@ TEST(WorkloadTest, RunWorkloadRestoresTheCallersEngineState) {
   full.crashes.push_back({/*shard=*/1, /*at_ns=*/1e6});
   auto report = RunWorkload(derby.get(), full);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->has_recluster);
+  EXPECT_NE(report->ToJson().find("\n  \"recluster\": {"), std::string::npos);
   EXPECT_GT(report->totals.txn_commits, 0u);
   ExpectBindings(before, Bindings(db));
 
@@ -466,6 +466,60 @@ TEST(WorkloadTest, RejectsInvalidSpecs) {
   spec = MixedSpec(2, 3);
   spec.update_ratio = -0.1;
   EXPECT_FALSE(RunWorkload(derby.get(), spec).ok());
+}
+
+// A recluster policy the reorganizer cannot run is refused before the run
+// touches the engine: the placement stays as it was and no virtual time
+// passes.
+void ExpectRejectedUntouched(DerbyDb* derby, const WorkloadSpec& spec) {
+  const double elapsed = derby->db->sim().elapsed_ns();
+  EXPECT_EQ(RunWorkload(derby, spec).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(derby->db->cache().NumShards(), 1u);
+  EXPECT_EQ(derby->db->sim().elapsed_ns(), elapsed);
+}
+
+WorkloadSpec ShardedReclusterSpec() {
+  WorkloadSpec spec = MixedSpec(2, 2);
+  spec.num_servers = 2;
+  spec.recluster = true;
+  return spec;
+}
+
+TEST(WorkloadTest, RejectsZeroReclusterInterval) {
+  auto derby = BuildSmallDerby();
+  WorkloadSpec spec = ShardedReclusterSpec();
+  spec.recluster_interval_ns = 0;
+  ExpectRejectedUntouched(derby.get(), spec);
+}
+
+TEST(WorkloadTest, RejectsNegativeReclusterInterval) {
+  auto derby = BuildSmallDerby();
+  WorkloadSpec spec = ShardedReclusterSpec();
+  spec.recluster_interval_ns = -1e6;
+  ExpectRejectedUntouched(derby.get(), spec);
+}
+
+TEST(WorkloadTest, RejectsZeroReclusterPageBudget) {
+  auto derby = BuildSmallDerby();
+  WorkloadSpec spec = ShardedReclusterSpec();
+  spec.recluster_page_budget = 0;
+  ExpectRejectedUntouched(derby.get(), spec);
+}
+
+TEST(WorkloadTest, RejectsNegativeReclusterThresholds) {
+  auto derby = BuildSmallDerby();
+  WorkloadSpec spec = ShardedReclusterSpec();
+  spec.recluster_min_heat = -1;
+  ExpectRejectedUntouched(derby.get(), spec);
+  spec = ShardedReclusterSpec();
+  spec.recluster_min_span = -1;
+  ExpectRejectedUntouched(derby.get(), spec);
+  // Zero thresholds are a valid, if eager, policy.
+  spec = ShardedReclusterSpec();
+  spec.recluster_min_heat = 0;
+  spec.recluster_min_span = 0;
+  EXPECT_TRUE(RunWorkload(derby.get(), spec).ok());
 }
 
 }  // namespace
