@@ -11,11 +11,11 @@
 #   (relative paths land inside bench_json/); every remaining argument is
 #   passed to each bench (e.g. --scale=8, --jobs=8).
 #
-# --jobs=N is forwarded to every bench: the cell-converted sweeps
-# (workload_scaleout, shard_scaleout, update_mix, batch_ablation,
-# reclustering, fault_campaign) run their bench cells on an N-worker pool
-# and still produce byte-identical text/JSON artifacts at any N
-# (docs/parallel_harness.md); the remaining benches ignore the flag. Only
+# --jobs=N is forwarded to every bench: the cell-converted benches
+# (fig11-fig15, workload_scaleout, shard_scaleout, update_mix,
+# batch_ablation, reclustering, fault_campaign) run their bench cells on an
+# N-worker pool and still produce byte-identical text/JSON artifacts at any
+# N (docs/parallel_harness.md); the remaining benches ignore the flag. Only
 # the *_perf.json host-perf records (and their perf_summary.json rollup)
 # legitimately vary with N.
 # Env: TREEBENCH_SKIP_MICRO=1 skips the google-benchmark micro bench (host

@@ -116,8 +116,15 @@ TEST_P(DumpReloadTest, PreservesLogicalDatabase) {
             derby->meta.num_patients);
 }
 
-TEST_P(DumpReloadTest, CompositionPlacementGroupsChildren) {
-  if (GetParam() != ClusteringStrategy::kComposition) GTEST_SKIP();
+INSTANTIATE_TEST_SUITE_P(
+    Placements, DumpReloadTest,
+    ::testing::Values(ClusteringStrategy::kClassClustered,
+                      ClusteringStrategy::kComposition),
+    [](const ::testing::TestParamInfo<ClusteringStrategy>& info) {
+      return std::string(ClusteringName(info.param));
+    });
+
+TEST(DumpReloadTest, CompositionPlacementGroupsChildren) {
   auto derby = BuildDerby(SmallConfig()).value();  // class-clustered load
   Database& db = *derby->db;
   ASSERT_TRUE(db.DumpAndReload(ClusteringStrategy::kComposition).ok());
@@ -134,14 +141,6 @@ TEST_P(DumpReloadTest, CompositionPlacementGroupsChildren) {
     db.store().Unref(ph);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Placements, DumpReloadTest,
-    ::testing::Values(ClusteringStrategy::kClassClustered,
-                      ClusteringStrategy::kComposition),
-    [](const ::testing::TestParamInfo<ClusteringStrategy>& info) {
-      return std::string(ClusteringName(info.param));
-    });
 
 TEST(DumpReloadTest, RejectsUnsupportedPlacements) {
   auto derby = BuildDerby(SmallConfig()).value();
