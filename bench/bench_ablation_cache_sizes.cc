@@ -50,6 +50,7 @@ int Main(int argc, char** argv) {
       "\nexpected: a larger client cache monotonically cuts I/Os and RPCs"
       " (paper\nSection 3.2's cache advice); the paper's 32 MB choice sits"
       " at the knee.\n");
+  ExportStats(StatStore(), opts);  // no records yet: an empty export
   return 0;
 }
 

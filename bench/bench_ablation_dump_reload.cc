@@ -62,6 +62,7 @@ int Main(int argc, char** argv) {
       "\ndump+reload itself took %.0f simulated s — paid once, after which"
       " every\nobject access stops paying the forwarding hop.\n",
       reload_seconds);
+  ExportStats(StatStore(), opts);  // no records yet: an empty export
   return 0;
 }
 

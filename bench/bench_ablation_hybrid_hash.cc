@@ -47,6 +47,7 @@ int Main(int argc, char** argv) {
       "\nexpected: identical results; at (90,90) PHJ swap-thrashes while "
       "hybrid\nhashing replaces swaps with sequential spill I/O and wins "
       "clearly.\n");
+  ExportStats(StatStore(), opts);  // no records yet: an empty export
   return 0;
 }
 

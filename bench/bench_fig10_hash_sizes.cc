@@ -64,6 +64,7 @@ int Main(int argc, char** argv) {
       " it swap\n(the paper flags PHJ 57.6 MiB and both CHJ 1:3 rows)\n",
       static_cast<double>(small->db->sim().FreeRamForTransient()) *
           opts.scale / (1 << 20));
+  ExportStats(StatStore(), opts);  // no records yet: an empty export
   return 0;
 }
 

@@ -95,6 +95,7 @@ int Main(int argc, char** argv) {
              {"configuration", "simulated load (s)", "detail",
               "paper narrative"},
              rows);
+  ExportStats(StatStore(), opts);  // no records yet: an empty export
   return 0;
 }
 

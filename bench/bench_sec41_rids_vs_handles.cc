@@ -80,6 +80,7 @@ int Main(int argc, char** argv) {
       "\nexpected: the Rid variant never materializes objects; the Handle"
       " variant\npays object I/O + 60-byte handle allocation per entry"
       " (paper Section 4.1/4.3)\n");
+  ExportStats(StatStore(), opts);  // no records yet: an empty export
   return 0;
 }
 

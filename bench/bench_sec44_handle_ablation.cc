@@ -117,6 +117,7 @@ int Main(int argc, char** argv) {
       " hits, not\nhandle allocation) — the paper's claim that associative"
       " accesses can be\nfixed 'without hurting those of main memory"
       " navigation'.\n");
+  ExportStats(StatStore(), opts);  // no records yet: an empty export
   return 0;
 }
 

@@ -187,6 +187,21 @@ std::string Ratio(double value, double best) {
   return buf;
 }
 
+std::string Versus(double a_s, double b_s) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "(%.1f s vs %.1f s, %+.1f %%)", a_s, b_s,
+                (a_s / b_s - 1) * 100);
+  return buf;
+}
+
+int ReportGates(const std::vector<std::string>& failures) {
+  std::fflush(stdout);
+  for (const std::string& failure : failures) {
+    std::fprintf(stderr, "%s\n", failure.c_str());
+  }
+  return failures.empty() ? 0 : 1;
+}
+
 void Die(const std::string& what, const Status& status) {
   const std::string message = what + ": " + status.ToString();
   if (Out() != stdout) throw std::runtime_error(message);

@@ -89,6 +89,15 @@ void PrintTable(const std::string& title,
 /// Formats "x1.23" style ratios as the paper's tables do.
 std::string Ratio(double value, double best);
 
+/// The numbers a failed gate compared, "(A s vs B s, +G %)": G is how much
+/// `a_s` exceeds `b_s`, e.g. the expected run's seconds over the winner's.
+std::string Versus(double a_s, double b_s);
+
+/// A gated bench's last step: flushes stdout, prints each gate failure (one
+/// "FAIL ..." line per missed check) to stderr, and returns the bench's exit
+/// status, 1 when any check missed.
+int ReportGates(const std::vector<std::string>& failures);
+
 /// The one failure path of a bench: on the main thread prints
 /// "FATAL: <what>: <status>" to stderr and exits 1; inside a cell body
 /// (Out() is the cell's capture) throws instead, because exiting from a

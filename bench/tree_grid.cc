@@ -14,24 +14,34 @@
 //   Fig. 14  NL wins three of four cells; NOJOIN takes (10,90).
 //   Fig. 15  the winner of every row of all six grids: hash joins own the
 //            randomized and class-clustered databases, NL composition.
+//   Regret   the experiment the authors never reached (Section 2): on the
+//            1:1000 grids, the picks of a cost-based optimizer and of the
+//            O2 navigation-first heuristic against each row's best time.
 // bench/CMakeLists.txt builds one binary per figure from this source, named
-// by TREEBENCH_FIGURE. Each grid of kGrids it runs is one bench cell.
+// by TREEBENCH_FIGURE (0 for the regret table). Each grid of kGrids it runs
+// is one bench cell. Fig. 15 and the regret table gate their claims: a miss
+// prints one FAIL line per check to stderr and exits 1 after the tables and
+// exports.
 #include <algorithm>
 
 #include "common/bench_util.h"
 #include "common/cell_harness.h"
 #include "src/common/string_util.h"
+#include "src/query/optimizer.h"
 #include "src/query/tree_query.h"
 
 namespace treebench::bench {
 namespace {
+
+constexpr int kFigure = TREEBENCH_FIGURE;
+constexpr int kRegret = 0;  // the optimizer-regret table's TREEBENCH_FIGURE
 
 constexpr double kSels[4][2] = {{10, 10}, {10, 90}, {90, 10}, {90, 90}};
 constexpr TreeJoinAlgo kAlgos[4] = {TreeJoinAlgo::kNL, TreeJoinAlgo::kNOJOIN,
                                     TreeJoinAlgo::kPHJ, TreeJoinAlgo::kCHJ};
 
 struct Grid {
-  int figure;         // the figure that plots the grid; 0 = only Fig. 15
+  int figure;         // the Fig. 11-14 that plots the grid; 0 = none
   const char* label;  // the Fig. 11-14 title and record label
   uint64_t providers;
   uint32_t children;
@@ -85,8 +95,40 @@ constexpr struct { int grid, row; TreeJoinAlgo winner; } kDeviations[] = {
     {3, 3, TreeJoinAlgo::kNOJOIN},  // randomized 1:3 90/90, paper NL
 };
 
+// The regret table's floor on the heuristic's total over the best total.
+constexpr double kMinHeuristicRegret = 8;
+
 std::string Rel(const Grid& grid) {
   return "1:" + std::to_string(grid.children);
+}
+
+std::string Sel(int r) {
+  return std::to_string(int(kSels[r][0])) + "/" +
+         std::to_string(int(kSels[r][1]));
+}
+
+/// The kGrids a build runs, one cell each, in cell order.
+std::vector<size_t> CellGrids() {
+  if (kFigure == 15) return {0, 1, 2, 3, 4, 5};
+  if (kFigure == kRegret) return {1, 0, 2};  // 1:1000: class, random, comp.
+  for (size_t g = 0; g < std::size(kGrids); ++g) {
+    if (kGrids[g].figure == kFigure) return {g};
+  }
+  return {};
+}
+
+/// The kAlgos index of `algo`; 4 outside the paper's four.
+int AlgoIndex(TreeJoinAlgo algo) {
+  return int(std::find(kAlgos, kAlgos + 4, algo) - kAlgos);
+}
+
+/// The kAlgos index of the fastest of a grid row's four runs.
+int Best(const StatRecord* row) {
+  int best = 0;
+  for (int a = 1; a < 4; ++a) {
+    if (row[a].elapsed_seconds < row[best].elapsed_seconds) best = a;
+  }
+  return best;
 }
 
 /// The kAlgos index of the paper's fastest time in grid row `r`.
@@ -99,29 +141,55 @@ int PaperWinner(const Grid& grid, int r) {
   return best;
 }
 
-/// One bench cell: builds the grid's database, appends its 16 runs to `out`
-/// row by row, and drops the database on return.
+/// A grid cell's out-slot.
+struct GridRuns {
+  std::vector<StatRecord> records;  // the 16 runs, row by row
+  std::vector<StatRecord> picks;    // regret: per row heuristic, cost-based
+};
+
+/// One bench cell: builds the grid's database, runs its 16 queries row by
+/// row (the regret build adds each row's picks), and drops the database.
 void RunGrid(const Grid& grid, const std::string& db_label,
-             const BenchOptions& opts, std::vector<StatRecord>* out) {
+             const BenchOptions& opts, GridRuns* out) {
   auto derby =
       BuildDerbyOrDie(grid.providers, grid.children, grid.clustering, opts);
+  auto run = [&](const TreeQuerySpec& spec, const double* sel,
+                 TreeJoinAlgo algo) {
+    auto stats = OrDie(RunTreeQuery(derby->db.get(), spec, algo), db_label);
+    StatRecord rec;
+    rec.database = db_label;
+    rec.cluster = std::string(ClusteringName(derby->db->clustering()));
+    rec.algo = std::string(AlgoName(algo));
+    rec.query_text =
+        "select tuple(n: p.name, a: pa.age) from p in Providers, "
+        "pa in p.clients where pa.mrn < k1 and p.upin < k2";
+    rec.selectivity_patients_pct = sel[0];
+    rec.selectivity_providers_pct = sel[1];
+    rec.result_count = stats.result_count;
+    rec.server_cache_bytes = derby->db->cache().config().server_bytes;
+    rec.client_cache_bytes = derby->db->cache().config().client_bytes;
+    rec.FillFrom(stats.metrics, stats.seconds * opts.scale);
+    return rec;
+  };
   for (const auto& sel : kSels) {
     TreeQuerySpec spec = DerbyTreeQuery(*derby, sel[0], sel[1]);
     for (TreeJoinAlgo algo : kAlgos) {
-      auto run = OrDie(RunTreeQuery(derby->db.get(), spec, algo), db_label);
-      StatRecord& rec = out->emplace_back();
-      rec.database = db_label;
-      rec.cluster = std::string(ClusteringName(derby->db->clustering()));
-      rec.algo = std::string(AlgoName(algo));
-      rec.query_text =
-          "select tuple(n: p.name, a: pa.age) from p in Providers, "
-          "pa in p.clients where pa.mrn < k1 and p.upin < k2";
-      rec.selectivity_patients_pct = sel[0];
-      rec.selectivity_providers_pct = sel[1];
-      rec.result_count = run.result_count;
-      rec.server_cache_bytes = derby->db->cache().config().server_bytes;
-      rec.client_cache_bytes = derby->db->cache().config().client_bytes;
-      rec.FillFrom(run.metrics, run.seconds * opts.scale);
+      out->records.push_back(run(spec, sel, algo));
+    }
+    if (kFigure != kRegret) continue;
+    // A pick is a catalog-only estimate that charges nothing; one outside
+    // kAlgos (such as hybrid PHJ) is measured here.
+    BoundTreeQuery bound;
+    bound.spec = spec;
+    for (OptimizerStrategy strategy :
+         {OptimizerStrategy::kHeuristic, OptimizerStrategy::kCostBased}) {
+      const TreeJoinAlgo algo =
+          OrDie(ChoosePlan(derby->db.get(), BoundQuery(bound), strategy),
+                "plan")
+              .algo;
+      const int a = AlgoIndex(algo);
+      out->picks.push_back(a < 4 ? out->records[out->records.size() - 4 + a]
+                                 : run(spec, sel, algo));
     }
   }
 }
@@ -130,17 +198,17 @@ void RunGrid(const Grid& grid, const std::string& db_label,
 void PrintGrid(const Grid& grid, const std::vector<StatRecord>& runs) {
   std::vector<std::vector<std::string>> rows;
   for (int r = 0; r < 4; ++r) {
-    double measured[4];
-    for (int a = 0; a < 4; ++a) measured[a] = runs[4 * r + a].elapsed_seconds;
-    const double best = *std::min_element(measured, measured + 4);
+    const StatRecord* row = &runs[4 * r];
+    const double best = row[Best(row)].elapsed_seconds;
     for (int a = 0; a < 4; ++a) {
+      const double measured = row[a].elapsed_seconds;
       const double paper_s = grid.paper[r][a];
       char sel[32];
       std::snprintf(sel, sizeof(sel), "%2.0f / %2.0f", kSels[r][0],
                     kSels[r][1]);
       rows.push_back({a == 0 ? sel : "", std::string(AlgoName(kAlgos[a])),
-                      FormatSeconds(measured[a]), Ratio(measured[a], best),
-                      FormatSeconds(paper_s), Ratio(measured[a], paper_s)});
+                      FormatSeconds(measured), Ratio(measured, best),
+                      FormatSeconds(paper_s), Ratio(measured, paper_s)});
     }
   }
   PrintTable(std::string(grid.label) +
@@ -153,22 +221,18 @@ void PrintGrid(const Grid& grid, const std::vector<StatRecord>& runs) {
 /// Fig. 15: each row's winner per organization against the paper's; adds
 /// the records in that order. Returns a FAIL line for each cell whose
 /// winner is not the pinned one: the paper's, or its kDeviations entry.
-std::vector<std::string> PrintWinners(
-    const std::vector<std::vector<StatRecord>>& runs, StatStore* stats) {
+std::vector<std::string> PrintWinners(const std::vector<GridRuns>& runs,
+                                      StatStore* stats) {
   std::vector<std::vector<std::string>> rows;
   std::vector<std::string> failures;
   for (int first = 0; first < 6; first += 3) {
     for (int r = 0; r < 4; ++r) {
-      const std::string sel = std::to_string(int(kSels[r][0])) + "/" +
-                              std::to_string(int(kSels[r][1]));
+      const std::string sel = Sel(r);
       rows.push_back({Rel(kGrids[first]), sel});
       for (int g = first; g < first + 3; ++g) {
-        const StatRecord* recs = &runs[g][4 * r];
-        int best = 0;
-        for (int a = 0; a < 4; ++a) {
-          stats->Add(recs[a]);
-          if (recs[a].elapsed_seconds < recs[best].elapsed_seconds) best = a;
-        }
+        const StatRecord* recs = &runs[g].records[4 * r];
+        for (int a = 0; a < 4; ++a) stats->Add(recs[a]);
+        const int best = Best(recs);
         const int paper = PaperWinner(kGrids[g], r);
         char cell[96];
         std::snprintf(cell, sizeof(cell), "%s %.0fs (paper %s %.0fs)",
@@ -180,10 +244,12 @@ std::vector<std::string> PrintWinners(
           if (d.grid == g && d.row == r) expected = d.winner;
         }
         if (kAlgos[best] != expected) {
-          failures.push_back("FAIL fig15 " + recs[best].cluster + " " +
-                             Rel(kGrids[g]) + " " + sel + ": winner " +
-                             recs[best].algo + ", expected " +
-                             std::string(AlgoName(expected)));
+          failures.push_back(
+              "FAIL fig15 " + recs[best].cluster + " " + Rel(kGrids[g]) +
+              " " + sel + ": winner " + recs[best].algo + ", expected " +
+              std::string(AlgoName(expected)) + " " +
+              Versus(recs[AlgoIndex(expected)].elapsed_seconds,
+                     recs[best].elapsed_seconds));
         }
       }
     }
@@ -195,16 +261,67 @@ std::vector<std::string> PrintWinners(
   return failures;
 }
 
+/// The regret table: per row of the cell grids, the best time and both
+/// optimizers' picks against it; adds the records in cell order. Returns a
+/// FAIL line per cost-based pick that is not x1.00, and one when the
+/// heuristic's total is under kMinHeuristicRegret times the best total.
+std::vector<std::string> PrintRegret(const std::vector<GridRuns>& runs,
+                                     StatStore* stats) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> failures;
+  double totals[3] = {0, 0, 0};  // best, heuristic, cost-based
+  for (size_t g : CellGrids()) {
+    for (const StatRecord& rec : runs[g].records) stats->Add(rec);
+    for (int r = 0; r < 4; ++r) {
+      const StatRecord* row = &runs[g].records[4 * r];
+      const StatRecord* picked[3] = {&row[Best(row)], &runs[g].picks[2 * r],
+                                     &runs[g].picks[2 * r + 1]};
+      const double best_s = picked[0]->elapsed_seconds;
+      rows.push_back({picked[0]->cluster, Sel(r), picked[0]->algo,
+                      FormatSeconds(best_s)});
+      for (int i = 0; i < 3; ++i) totals[i] += picked[i]->elapsed_seconds;
+      for (int i = 1; i < 3; ++i) {
+        rows.back().push_back(picked[i]->algo + " (x" +
+                              Ratio(picked[i]->elapsed_seconds, best_s) + ")");
+      }
+      const std::string cost_x = Ratio(picked[2]->elapsed_seconds, best_s);
+      if (cost_x != "1.00") {
+        failures.push_back("FAIL optimizer_regret " + picked[0]->cluster +
+                           " " + Sel(r) + ": cost-based pick " +
+                           picked[2]->algo + " x" + cost_x +
+                           ", expected x1.00 " +
+                           Versus(picked[2]->elapsed_seconds, best_s));
+      }
+    }
+  }
+  PrintTable("optimizer regret — heuristic (O2) vs cost-based picks",
+             {"clustering", "sel pat/prov", "best algo", "best(s)",
+              "heuristic pick", "cost-based pick"},
+             rows);
+  const std::string heuristic_x = Ratio(totals[1], totals[0]);
+  std::fprintf(Out(),
+               "\ntotals across all cells: best %.0fs | O2 heuristic %.0fs "
+               "(x%s) | cost-based %.0fs (x%s)\n",
+               totals[0], totals[1], heuristic_x.c_str(), totals[2],
+               Ratio(totals[2], totals[0]).c_str());
+  if (totals[1] < kMinHeuristicRegret * totals[0]) {
+    failures.push_back("FAIL optimizer_regret totals: O2 heuristic x" +
+                       heuristic_x + ", expected at least x" +
+                       FormatSeconds(kMinHeuristicRegret, 0) + " " +
+                       Versus(totals[1], totals[0]));
+  }
+  return failures;
+}
+
 int Main(int argc, char** argv) {
-  constexpr int kFigure = TREEBENCH_FIGURE;
   BenchOptions opts = ParseArgs(argc, argv);
-  std::vector<std::vector<StatRecord>> runs(std::size(kGrids));
+  std::vector<GridRuns> runs(std::size(kGrids));
   BenchCells cells(opts.jobs);
-  for (size_t g = 0; g < std::size(kGrids); ++g) {
+  for (size_t g : CellGrids()) {
     const Grid& grid = kGrids[g];
-    if (kFigure != 15 && grid.figure != kFigure) continue;
-    const std::string label =
-        kFigure == 15 ? Rel(grid) + " fig15" : grid.label;
+    const std::string label = kFigure == 15        ? Rel(grid) + " fig15"
+                              : kFigure == kRegret ? Rel(grid) + " regret"
+                                                   : grid.label;
     cells.Add(std::string(ClusteringName(grid.clustering)) + "_" + Rel(grid),
               [&, g, label] {
                 RunGrid(kGrids[g], label, opts, &runs[g]);
@@ -215,17 +332,18 @@ int Main(int argc, char** argv) {
 
   StatStore stats;
   std::vector<std::string> failures;
-  if (kFigure == 15) failures = PrintWinners(runs, &stats);
-  for (size_t g = 0; g < std::size(kGrids); ++g) {
-    if (kFigure == 15 || kGrids[g].figure != kFigure) continue;
-    for (const StatRecord& rec : runs[g]) stats.Add(rec);
-    PrintGrid(kGrids[g], runs[g]);
+  if (kFigure == 15) {
+    failures = PrintWinners(runs, &stats);
+  } else if (kFigure == kRegret) {
+    failures = PrintRegret(runs, &stats);
+  } else {
+    for (size_t g : CellGrids()) {
+      for (const StatRecord& rec : runs[g].records) stats.Add(rec);
+      PrintGrid(kGrids[g], runs[g].records);
+    }
   }
   ExportStats(stats, opts);
-  for (const std::string& failure : failures) {
-    std::fprintf(stderr, "%s\n", failure.c_str());
-  }
-  return failures.empty() ? 0 : 1;
+  return ReportGates(failures);
 }
 
 }  // namespace

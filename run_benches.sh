@@ -12,12 +12,12 @@
 #   passed to each bench (e.g. --scale=8, --jobs=8).
 #
 # --jobs=N is forwarded to every bench: the cell-converted benches
-# (fig11-fig15, workload_scaleout, shard_scaleout, update_mix,
-# batch_ablation, reclustering, fault_campaign) run their bench cells on an
-# N-worker pool and still produce byte-identical text/JSON artifacts at any
-# N (docs/parallel_harness.md); the remaining benches ignore the flag. Only
-# the *_perf.json host-perf records (and their perf_summary.json rollup)
-# legitimately vary with N.
+# (fig06, fig07, fig09, fig11-fig15, optimizer_regret, workload_scaleout,
+# shard_scaleout, update_mix, batch_ablation, reclustering, fault_campaign)
+# run their bench cells on an N-worker pool and still produce
+# byte-identical text/JSON artifacts at any N (docs/parallel_harness.md);
+# the remaining benches ignore the flag. Only the *_perf.json host-perf
+# records (and their perf_summary.json rollup) legitimately vary with N.
 # Env: TREEBENCH_SKIP_MICRO=1 skips the google-benchmark micro bench (host
 #   wall clock, slow); CI sets it for smoke runs.
 #   TREEBENCH_JOBS=N sets the default worker count when --jobs is absent.
@@ -58,8 +58,8 @@ for b in build/bench/bench_fig06_selection build/bench/bench_fig07_sorted_index 
   echo | tee -a "$OUT"
 done
 
-# Consolidate the per-bench record arrays into one document. Benches without
-# a StatStore write no file and are simply absent.
+# Consolidate the per-bench record arrays into one document. Every bench
+# writes one; a bench that keeps no records yet writes an empty array.
 {
   echo "{"
   first=1
