@@ -22,12 +22,11 @@ FILE* SetThreadOut(FILE* f) {
 
 void BenchCells::Add(std::string label, std::function<void()> body) {
   runner_.Submit(std::move(label),
-                 [body = std::move(body)](FILE* capture) -> int {
+                 [body = std::move(body)](FILE* capture) {
                    FILE* prev = SetThreadOut(capture);
                    try {
                      body();
                      SetThreadOut(prev);
-                     return 0;
                    } catch (...) {
                      SetThreadOut(prev);
                      throw;

@@ -107,7 +107,7 @@ void TwoLevelCache::NoteFailover(uint32_t primary) {
   seen[primary] = epoch;
   // The request that discovered the dead primary went out and timed out...
   sim_->faults().NoteForced(FaultSite::kServerBlackhole);
-  sim_->ChargeRpcLost(kPageSize);
+  sim_->ChargeRpc(kPageSize);
   // ...then the client declares the server dead and re-establishes its
   // session against the backup replica.
   double penalty =
@@ -194,8 +194,6 @@ Status TwoLevelCache::Transfer(Leg leg, uint32_t shard,
     }
     const bool last = attempt + 1 == rp.max_attempts;
     const uint64_t bytes = pending->size() * static_cast<uint64_t>(kPageSize);
-    // Serving a page may write a victim back to another shard.
-    sim_->set_active_shard(shard);
     if (ShardDown(shard)) {
       // The serving replica died under this request: hand the keys back
       // for fresh routing (toward the backup) when the caller can, else the
@@ -203,17 +201,21 @@ Status TwoLevelCache::Transfer(Leg leg, uint32_t shard,
       // no reply, one fault-ledger entry.
       if (hand_back) return Status::OK();
       sim_->faults().NoteForced(FaultSite::kServerBlackhole);
-      sim_->ChargeRpcLost(bytes);
+      sim_->ChargeRpc(bytes);
       if (!last) m.rpc_retries += pending->size();
       continue;
     }
     // Every page of the request draws its own transient-fault outcome — the
     // same per-site sequence a loop of single fetches would consume — but
-    // the wire is charged once for the whole request.
+    // the wire is charged once for the whole request, after the shard's
+    // station admits it.
     for (uint64_t& key : *pending) {
       if (sim_->faults().ShouldFail(FaultSite::kRpc, sim_->elapsed_ns())) {
         key |= kFailed;
       }
+    }
+    if (ServerStation* station = StationFor(shard)) {
+      sim_->ChargeRpcQueueWait(station->Admit(sim_->elapsed_ns()));
     }
     if (leg == Leg::kGroup) {
       sim_->ChargeRpcBatch(pending->size(), bytes);
@@ -287,7 +289,6 @@ Status TwoLevelCache::InsertAtServer(uint64_t key, uint32_t shard,
 
 Status TwoLevelCache::EnsureAtServer(uint64_t key, uint32_t shard) {
   Metrics& m = sim_->metrics();
-  sim_->set_active_shard(shard);
   LruPageCache& cache = shards_[shard]->cache;
   if (cache.Touch(key)) {
     sim_->ChargeServerCacheHit();
@@ -296,8 +297,8 @@ Status TwoLevelCache::EnsureAtServer(uint64_t key, uint32_t shard) {
   sim_->ChargeServerCacheMiss();
   // Under a multi-client workload the server performs this disk read while
   // holding its shard's service station: later arrivals queue behind it.
-  if (sim_->station() != nullptr) {
-    sim_->station()->ExtendService(sim_->model().disk_read_page_ns);
+  if (ServerStation* station = StationFor(shard)) {
+    station->ExtendService(sim_->model().disk_read_page_ns);
   }
   if (sim_->faults().ShouldFail(FaultSite::kDiskRead, sim_->elapsed_ns())) {
     ++m.disk_read_faults;
@@ -354,10 +355,9 @@ Status TwoLevelCache::WriteBackToServer(uint64_t key) {
 
 Status TwoLevelCache::WriteToDisk(uint64_t key, uint32_t shard) {
   Metrics& m = sim_->metrics();
-  sim_->set_active_shard(shard);
   // Server-side disk write: holds the shard's station like a read does.
-  if (sim_->station() != nullptr) {
-    sim_->station()->ExtendService(sim_->model().disk_write_page_ns);
+  if (ServerStation* station = StationFor(shard)) {
+    station->ExtendService(sim_->model().disk_write_page_ns);
   }
   if (sim_->faults().ShouldFail(FaultSite::kDiskWrite, sim_->elapsed_ns())) {
     ++m.disk_write_faults;

@@ -12,7 +12,9 @@
 #include "src/cache/lru_page_cache.h"
 #include "src/catalog/placement.h"
 #include "src/common/status.h"
+#include "src/cost/server_station.h"
 #include "src/cost/sim_context.h"
+#include "src/cost/station_registry.h"
 #include "src/storage/disk_manager.h"
 
 namespace treebench {
@@ -72,7 +74,7 @@ struct CacheConfig {
 /// The server level is a *sharded page service* (docs/replication_model.md):
 /// a catalog-driven PlacementMap routes every page key to one of N simulated
 /// page servers, each owning its own cache partition, service station (when
-/// a StationRegistry is installed) and fault domain. With primary/backup
+/// a StationRegistry is bound) and fault domain. With primary/backup
 /// replication on, page writes are shipped to the primary AND its ring
 /// neighbor (both charged); reads go primary-first and fail over to the
 /// backup — with a charged detection + reconnect penalty, once per client
@@ -220,6 +222,20 @@ class TwoLevelCache {
   }
   PageLockHook* lock_hook() const { return lock_hook_; }
 
+  /// Binds the page servers' service stations (nullptr unbinds; no
+  /// queueing). Returns the previously bound registry, mirroring
+  /// BindLockHook. While one is bound, every RPC that reaches a live shard
+  /// is admitted at that shard's station, and its queueing delay is charged
+  /// to the bound clock as rpc_queue_wait_ns; the shard's server-side disk
+  /// reads and writes extend that admission's service. The workload
+  /// scheduler (src/workload) binds one registry per run.
+  StationRegistry* BindStations(StationRegistry* stations) {
+    StationRegistry* prev = stations_;
+    stations_ = stations;
+    return prev;
+  }
+  StationRegistry* stations() const { return stations_; }
+
   /// Installs `hook` for the life of the scope and reinstalls the previous
   /// hook on every exit path (scopes nest).
   class [[nodiscard]] LockHookScope {
@@ -311,6 +327,15 @@ class TwoLevelCache {
   /// bytes.
   Result<uint8_t*> Ensure(uint16_t file_id, uint32_t page_id, bool for_write);
 
+  /// The service station of `shard`, or null while no registry is bound. A
+  /// shard past the registry's size maps to Station(0): a caller's registry
+  /// may be smaller than the placement that flushes through it (a workload
+  /// run restores the caller's registry before its placement).
+  ServerStation* StationFor(uint32_t shard) const {
+    if (stations_ == nullptr) return nullptr;
+    return &stations_->Station(shard < stations_->size() ? shard : 0);
+  }
+
   /// True while `shard` is inside its crash window at the bound clock's
   /// current time.
   bool ShardDown(uint32_t shard) const {
@@ -346,10 +371,11 @@ class TwoLevelCache {
   };
 
   /// The one client->server page transfer, under the RetryPolicy: each
-  /// attempt draws one FaultSite::kRpc outcome per pending page, charges
-  /// one wire message (ChargeRpcBatch for kGroup, else ChargeRpc), serves
-  /// the accepted pages in order and keeps the failed ones in `*pending`
-  /// for the next attempt. While `shard` is inside a crash window an
+  /// attempt draws one FaultSite::kRpc outcome per pending page, is
+  /// admitted at the shard's station, charges one wire message
+  /// (ChargeRpcBatch for kGroup, else ChargeRpc), serves the accepted
+  /// pages in order and keeps the failed ones in `*pending` for the next
+  /// attempt. While `shard` is inside a crash window an
   /// attempt is blackholed (wire spent, no admission, a kServerBlackhole
   /// ledger entry, a retry per page) — or, with `hand_back`, the transfer
   /// returns OK with the unshipped keys left in `*pending` for rerouting.
@@ -391,6 +417,7 @@ class TwoLevelCache {
   LruPageCache own_client_;
   LruPageCache* client_;  // the bound client level; defaults to own_client_
   PageLockHook* lock_hook_ = nullptr;
+  StationRegistry* stations_ = nullptr;
   PlacementMap placement_;
   /// The page-server fleet; shards_[i] is shard i's partition + crash
   /// state. Always at least one shard (the classic single server).

@@ -24,11 +24,9 @@ std::string_view ClusteringName(ClusteringStrategy c) {
 
 Database::Database(DatabaseOptions opts)
     : opts_(opts),
-      sim_(opts.cost),
+      sim_(opts.cost, opts.handles),
       cache_(&disk_, &sim_, opts.cache, opts.placement),
-      store_(&schema_, &cache_, &sim_, opts.strings, opts.fill_factor) {
-  sim_.set_handle_mode(opts.handles);
-}
+      store_(&schema_, &cache_, &sim_, opts.strings, opts.fill_factor) {}
 
 Result<PersistentCollection*> Database::CreateCollection(
     const std::string& name) {

@@ -2,16 +2,6 @@
 
 namespace treebench {
 
-const char* PlacementPolicyName(PlacementPolicy p) {
-  switch (p) {
-    case PlacementPolicy::kHash:
-      return "hash";
-    case PlacementPolicy::kRange:
-      return "range";
-  }
-  return "?";
-}
-
 Status PlacementMap::Validate(const PlacementOptions& opts) {
   if (opts.num_servers == 0) {
     return Status::InvalidArgument("placement: num_servers must be >= 1");
@@ -19,10 +9,6 @@ Status PlacementMap::Validate(const PlacementOptions& opts) {
   if (opts.replication && opts.num_servers < 2) {
     return Status::InvalidArgument(
         "placement: primary/backup replication needs num_servers >= 2");
-  }
-  if (opts.policy == PlacementPolicy::kRange && opts.range_block_pages == 0) {
-    return Status::InvalidArgument(
-        "placement: range_block_pages must be >= 1");
   }
   return Status::OK();
 }
@@ -42,19 +28,7 @@ uint64_t MixKey(uint64_t z) {
 
 uint32_t PlacementMap::PrimaryShard(uint64_t page_key) const {
   if (opts_.num_servers <= 1) return 0;
-  switch (opts_.policy) {
-    case PlacementPolicy::kHash:
-      return static_cast<uint32_t>(MixKey(page_key) % opts_.num_servers);
-    case PlacementPolicy::kRange: {
-      // Stripe physically consecutive page ids of one file; offset by the
-      // file id so different files start their stripes on different shards.
-      const uint32_t file_id = static_cast<uint32_t>(page_key >> 32);
-      const uint32_t page_id = static_cast<uint32_t>(page_key);
-      return (page_id / opts_.range_block_pages + file_id) %
-             opts_.num_servers;
-    }
-  }
-  return 0;
+  return static_cast<uint32_t>(MixKey(page_key) % opts_.num_servers);
 }
 
 }  // namespace treebench

@@ -7,25 +7,10 @@
 
 namespace treebench {
 
-/// How pages are partitioned across the simulated page servers
-/// (docs/replication_model.md).
-enum class PlacementPolicy : uint8_t {
-  /// SplitMix64 hash of the page key, modulo the server count: spreads every
-  /// collection evenly, destroys physical adjacency across servers (two
-  /// consecutive pages of one file usually live on different shards).
-  kHash,
-  /// Contiguous stripes of `range_block_pages` physically consecutive pages
-  /// per shard: sequential runs inside one file stay on one server, so a
-  /// clustering-friendly scan talks to one shard at a time.
-  kRange,
-};
-
-const char* PlacementPolicyName(PlacementPolicy p);
-
-/// Configuration of the sharded page service: how many simulated servers,
-/// whether each shard keeps a primary/backup replica pair, and how pages map
-/// to shards. The default (one server, no replication) is the classic
-/// single-server engine.
+/// Configuration of the sharded page service: how many simulated servers
+/// and whether each shard keeps a primary/backup replica pair. Pages map to
+/// shards by a hash of the page key. The default (one server, no
+/// replication) is the classic single-server engine.
 struct PlacementOptions {
   uint32_t num_servers = 1;
   /// Primary/backup replication: every page write during load is shipped to
@@ -33,9 +18,6 @@ struct PlacementOptions {
   /// and fail over to the backup when the primary is down. Requires
   /// num_servers >= 2.
   bool replication = false;
-  PlacementPolicy policy = PlacementPolicy::kHash;
-  /// Stripe width (pages) of the kRange policy.
-  uint32_t range_block_pages = 64;
 
   friend bool operator==(const PlacementOptions&,
                          const PlacementOptions&) = default;
@@ -59,7 +41,10 @@ class PlacementMap {
   bool replication() const { return opts_.replication; }
 
   /// The shard owning (serving reads for) a page key, as produced by
-  /// TwoLevelCache::PageKey.
+  /// TwoLevelCache::PageKey: a SplitMix64 hash of the key, modulo the server
+  /// count. It spreads every collection evenly and destroys physical
+  /// adjacency across servers (two consecutive pages of one file usually
+  /// live on different shards).
   uint32_t PrimaryShard(uint64_t page_key) const;
 
   /// The backup replica of a primary shard (replication on): the next shard

@@ -7,8 +7,6 @@
 #include "src/cost/cost_model.h"
 #include "src/cost/fault_injector.h"
 #include "src/cost/metrics.h"
-#include "src/cost/server_station.h"
-#include "src/cost/station_registry.h"
 
 namespace treebench {
 
@@ -63,18 +61,23 @@ struct SimClock {
 /// exceeds physical memory every touch of transient memory accrues
 /// fractional swap I/O (the effect that degrades PHJ/CHJ in the paper's
 /// Figures 11-12).
+///
+/// A SimContext only charges: it holds no routing state. Which server
+/// station a request queues at is the page service's business
+/// (TwoLevelCache), which hands any queueing delay back here as one charge.
 class SimContext {
  public:
-  explicit SimContext(CostModel model = CostModel::Sparc20())
-      : model_(model) {}
+  explicit SimContext(CostModel model = CostModel::Sparc20(),
+                      HandleMode handles = HandleMode::kFat)
+      : model_(model), handle_mode_(handles) {}
 
   SimContext(const SimContext&) = delete;
   SimContext& operator=(const SimContext&) = delete;
 
   const CostModel& model() const { return model_; }
   /// Runtime knob for the vectored fetch subsystem (docs/fetch_batching.md).
-  /// 1 disables batching; the workload scheduler and benches flip it per
-  /// run. Clamped to >= 1 so a zero can never divide the batch planner.
+  /// 1 disables batching; benches and tests set it on a database before
+  /// running it (a workload run keeps the database's setting). Clamped to >= 1 so a zero can never divide the batch planner.
   void set_max_fetch_batch_pages(uint32_t pages) {
     model_.max_fetch_batch_pages = pages == 0 ? 1 : pages;
   }
@@ -112,30 +115,6 @@ class SimContext {
   TraceCollector* trace() const { return trace_; }
   void set_trace(TraceCollector* t) { trace_ = t; }
 
-  /// Shared-server queueing hook (src/workload): while a StationRegistry is
-  /// installed, every RPC reserves the active shard's station and any
-  /// queueing delay is charged to the bound clock as rpc_queue_wait_ns. Null
-  /// (no contention) by default. The cache layer selects the shard a request
-  /// is about to hit via set_active_shard; single-server code never touches
-  /// it, so everything admits to Station(0) exactly as the old single
-  /// ServerStation did.
-  StationRegistry* stations() const { return stations_; }
-  void set_stations(StationRegistry* r) {
-    stations_ = r;
-    active_shard_ = 0;
-  }
-  uint32_t active_shard() const { return active_shard_; }
-  void set_active_shard(uint32_t shard) {
-    active_shard_ = stations_ != nullptr && shard < stations_->size()
-                        ? shard
-                        : 0;
-  }
-  /// The station the next RPC will admit to (null when no registry is
-  /// installed).
-  ServerStation* station() const {
-    return stations_ != nullptr ? &stations_->Station(active_shard_) : nullptr;
-  }
-
   // ---- Generic charging ----
   void Charge(double ns) { clock_->clock_ns += ns; }
 
@@ -148,23 +127,32 @@ class SimContext {
     ++clock_->metrics.disk_writes;
     clock_->clock_ns += model_.disk_write_page_ns;
   }
-  /// One RPC of `bytes` that the server admits: a station admission (any
-  /// queueing delay is charged as rpc_queue_wait_ns), then the wire.
-  void ChargeRpc(uint64_t bytes) { ChargeWire(bytes, /*admitted=*/true); }
-  /// An RPC swallowed by a crashed server (docs/replication_model.md): the
-  /// request goes out on the wire — latency + shipping are spent — but the
-  /// dead server never admits it to a service station, so no queue wait and
-  /// no busy time accrue anywhere. The caller decides what the lost message
-  /// costs beyond the wire (timeout, retry, failover).
-  void ChargeRpcLost(uint64_t bytes) { ChargeWire(bytes, /*admitted=*/false); }
+  /// Queueing delay an RPC spent at its server's service station before
+  /// being served (TwoLevelCache admits the request at its shard's station
+  /// and passes the wait here, just before the wire charge).
+  void ChargeRpcQueueWait(double wait_ns) {
+    if (wait_ns > 0) {
+      clock_->clock_ns += wait_ns;
+      clock_->metrics.rpc_queue_wait_ns += static_cast<uint64_t>(wait_ns);
+    }
+  }
+  /// One RPC of `bytes` on the wire: latency plus per-byte shipping. A
+  /// request lost to a crashed server (docs/replication_model.md) costs the
+  /// same wire; the caller decides what it costs beyond that.
+  void ChargeRpc(uint64_t bytes) {
+    ++clock_->metrics.rpc_count;
+    clock_->metrics.rpc_bytes += bytes;
+    clock_->clock_ns += model_.rpc_latency_ns +
+                        model_.rpc_per_byte_ns * static_cast<double>(bytes);
+  }
   /// One *group* RPC shipping `pages` pages (`bytes` total) in a single
-  /// round trip: one latency charge, one station admission, per-byte
-  /// shipping for the whole batch. Counts once in rpc_count — a group RPC
-  /// is still one wire message — plus the batching counters.
+  /// round trip: one latency charge and per-byte shipping for the whole
+  /// batch. Counts once in rpc_count — a group RPC is still one wire
+  /// message — plus the batching counters.
   void ChargeRpcBatch(uint64_t pages, uint64_t bytes) {
     ++clock_->metrics.batched_rpcs;
     clock_->metrics.pages_per_batch += pages;
-    ChargeWire(bytes, /*admitted=*/true);
+    ChargeRpc(bytes);
   }
 
   // ---- Cache events ----
@@ -247,7 +235,6 @@ class SimContext {
   }
 
   HandleMode handle_mode() const { return handle_mode_; }
-  void set_handle_mode(HandleMode m) { handle_mode_ = m; }
 
   /// Size in bytes of one in-memory handle under the current mode (the
   /// paper's fat handle is ~60 bytes).
@@ -434,32 +421,14 @@ class SimContext {
   void TouchTransient();
 
  private:
-  /// The body every RPC charge shares: one wire message of `bytes`, after
-  /// the active shard's station admission when the server `admitted` it.
-  void ChargeWire(uint64_t bytes, bool admitted) {
-    ++clock_->metrics.rpc_count;
-    clock_->metrics.rpc_bytes += bytes;
-    if (ServerStation* s = admitted ? station() : nullptr; s != nullptr) {
-      double wait = s->Admit(clock_->clock_ns);
-      if (wait > 0) {
-        clock_->clock_ns += wait;
-        clock_->metrics.rpc_queue_wait_ns += static_cast<uint64_t>(wait);
-      }
-    }
-    clock_->clock_ns += model_.rpc_latency_ns +
-                        model_.rpc_per_byte_ns * static_cast<double>(bytes);
-  }
-
   CostModel model_;
   FaultInjector faults_;
   TraceCollector* trace_ = nullptr;
-  StationRegistry* stations_ = nullptr;
-  uint32_t active_shard_ = 0;
 
   SimClock own_clock_;
   SimClock* clock_ = &own_clock_;
 
-  HandleMode handle_mode_ = HandleMode::kFat;
+  const HandleMode handle_mode_;
 
   uint64_t fixed_bytes_ = 0;
 };

@@ -14,9 +14,9 @@ namespace treebench {
 /// (docs/replication_model.md): one ServerStation per simulated page server,
 /// each with its own FIFO reservation timeline — queueing on shard 2 never
 /// delays an RPC bound for shard 0. The workload scheduler builds one
-/// registry per run and installs it on the SimContext; TwoLevelCache selects
-/// the active shard before every RPC so SimContext::ChargeRpc admits to the
-/// right station.
+/// registry per run and binds it to the TwoLevelCache (BindStations), which
+/// admits every RPC at the station of the shard it routes the request to
+/// and charges any queueing delay through SimContext::ChargeRpcQueueWait.
 ///
 /// With a single shard this is exactly the old one-ServerStation setup:
 /// every RPC routes to Station(0).
@@ -74,8 +74,8 @@ class StationRegistry {
   }
 
  private:
-  // unique_ptr elements because ServerStation is non-copyable and hands out
-  // stable pointers (SimContext caches the active one between charges).
+  // unique_ptr elements because ServerStation is neither copyable nor
+  // movable.
   std::vector<std::unique_ptr<ServerStation>> stations_;
 };
 

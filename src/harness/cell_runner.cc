@@ -28,7 +28,6 @@ struct CellRunner::Cell {
   // shared mutex; read by the main thread only after observing done.
   std::string log;
   std::exception_ptr error;
-  int rc = 0;
   double wall_seconds = 0.0;
   bool done = false;
 };
@@ -58,22 +57,20 @@ size_t CellRunner::Submit(std::string label, CellBody body) {
   return cells_.size() - 1;
 }
 
-bool CellRunner::RunOneCell(Cell& cell) {
+void CellRunner::RunOneCell(Cell& cell) {
   char* buf = nullptr;
   size_t buf_len = 0;
   FILE* capture = open_memstream(&buf, &buf_len);
   if (capture == nullptr) {
-    cell.rc = -1;
     cell.error = std::make_exception_ptr(
         std::runtime_error("open_memstream failed for cell " + cell.label));
-    return false;
+    return;
   }
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    cell.rc = cell.body(capture);
+    cell.body(capture);
   } catch (...) {
     cell.error = std::current_exception();
-    cell.rc = -1;
   }
   cell.wall_seconds = SecondsSince(t0);
   std::fclose(capture);
@@ -81,7 +78,6 @@ bool CellRunner::RunOneCell(Cell& cell) {
     cell.log.assign(buf, buf_len);
     std::free(buf);
   }
-  return cell.error == nullptr;
 }
 
 void CellRunner::WorkerLoop() {
@@ -104,7 +100,7 @@ void CellRunner::WorkerLoop() {
   }
 }
 
-int CellRunner::Run(FILE* sink) {
+void CellRunner::Run(FILE* sink) {
   if (ran_) {
     throw std::logic_error("CellRunner::Run called twice");
   }
@@ -149,17 +145,12 @@ int CellRunner::Run(FILE* sink) {
 
   results_.clear();
   results_.reserve(cells_.size());
-  int first_rc = 0;
   std::exception_ptr first_error;
   for (const Cell& cell : cells_) {
     CellResult r;
     r.label = cell.label;
-    r.rc = cell.rc;
     r.wall_seconds = cell.wall_seconds;
     results_.push_back(std::move(r));
-    if (first_rc == 0 && cell.rc != 0) {
-      first_rc = cell.rc;
-    }
     if (first_error == nullptr && cell.error != nullptr) {
       first_error = cell.error;
     }
@@ -167,7 +158,6 @@ int CellRunner::Run(FILE* sink) {
   if (first_error != nullptr) {
     std::rethrow_exception(first_error);
   }
-  return first_rc;
 }
 
 double CellRunner::occupancy() const {

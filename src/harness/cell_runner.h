@@ -12,7 +12,7 @@ namespace treebench {
 /// A *bench cell* is one hermetic (database build x clustering x algorithm x
 /// knob) unit of benchmark work: it constructs its own engine instances
 /// (Database / SimContext / StatStore), runs them to completion in virtual
-/// time, and communicates results only through its return value and the
+/// time, and communicates results only through out-slots of its own and the
 /// per-cell capture stream handed to it. Because the simulator keeps all
 /// mutable state inside those per-cell instances (docs/parallel_harness.md
 /// documents the audit), independent cells can execute on OS threads
@@ -28,12 +28,11 @@ namespace treebench {
 class CellRunner {
  public:
   /// A cell body receives a FILE* to which all of its human-readable output
-  /// must go (never stdout directly), and returns an exit code (0 = ok).
-  using CellBody = std::function<int(FILE*)>;
+  /// must go (never stdout directly). It reports failure by throwing.
+  using CellBody = std::function<void(FILE*)>;
 
   struct CellResult {
     std::string label;
-    int rc = 0;
     /// Host wall-clock seconds spent inside the body. Diagnostics only —
     /// must never leak into deterministic artifacts.
     double wall_seconds = 0.0;
@@ -52,11 +51,10 @@ class CellRunner {
 
   /// Executes all submitted cells and streams their captured output to
   /// `sink` (e.g. stdout) in submission order, as soon as each prefix of
-  /// the submission sequence completes. Returns the first nonzero cell rc
-  /// in submission order, else 0. If any body threw, the first exception in
-  /// submission order is rethrown — but only after every cell has finished
-  /// and every completed cell's output has been flushed.
-  int Run(FILE* sink);
+  /// the submission sequence completes. If any body threw, the first
+  /// exception in submission order is rethrown — but only after every cell
+  /// has finished and every completed cell's output has been flushed.
+  void Run(FILE* sink);
 
   uint32_t jobs() const { return jobs_; }
   size_t size() const;  // out of line: Cell is incomplete here
@@ -77,7 +75,7 @@ class CellRunner {
  private:
   struct Cell;
   void WorkerLoop();
-  bool RunOneCell(Cell& cell);
+  void RunOneCell(Cell& cell);
 
   const uint32_t jobs_;
   std::vector<Cell> cells_;

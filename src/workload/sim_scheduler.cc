@@ -31,8 +31,6 @@ PlacementOptions SpecPlacement(const WorkloadSpec& spec) {
   PlacementOptions po;
   po.num_servers = spec.num_servers;
   po.replication = spec.replication;
-  po.policy = spec.placement_policy;
-  po.range_block_pages = spec.range_block_pages;
   return po;
 }
 
@@ -561,9 +559,9 @@ WorkloadReport AssembleReport(
 }
 
 /// What RunWorkload installs on the shared engine for one run: the spec's
-/// placement, the crash schedule, the vectored-fetch batch size, one service
-/// station per shard, the transaction lock hook and the heat tracker's
-/// access observer. Close() undoes them in reverse order and returns the
+/// placement, the crash schedule, one service station per shard, the
+/// transaction lock hook and the heat tracker's access observer. The
+/// vectored-fetch batch size is the database's own. Close() undoes them in reverse order and returns the
 /// placement restore's status; the destructor closes a scope that an early
 /// return left open.
 class RunScope {
@@ -571,8 +569,7 @@ class RunScope {
   explicit RunScope(Database* db)
       : db_(db),
         prev_placement_(db->placement().options()),
-        prev_batch_(db->sim().model().max_fetch_batch_pages),
-        prev_stations_(db->sim().stations()) {}
+        prev_stations_(db->cache().stations()) {}
   ~RunScope() { (void)Close(); }
 
   RunScope(const RunScope&) = delete;
@@ -618,8 +615,6 @@ class RunScope {
       sim.faults().Schedule(f);
     }
 
-    sim.set_max_fetch_batch_pages(spec.max_fetch_batch_pages);
-
     // The page-server fleet's service stations, one per shard. The default
     // service time is below the minimum RPC round-trip spacing, so a single
     // closed-loop client never queues behind itself — queueing delay
@@ -627,7 +622,7 @@ class RunScope {
     // shards queue independently).
     stations_.emplace(db_->cache().NumShards(), sim.model().server_service_ns,
                       sim.model().server_max_in_flight);
-    sim.set_stations(&*stations_);
+    db_->cache().BindStations(&*stations_);
 
     // Transaction machinery exists for the run ONLY when something writes:
     // an update mix, or the background reorganizer (whose migrations are
@@ -663,8 +658,7 @@ class RunScope {
     closed_ = true;
     observer_.reset();
     lock_hook_.reset();
-    if (stations_) db_->sim().set_stations(prev_stations_);
-    db_->sim().set_max_fetch_batch_pages(prev_batch_);
+    if (stations_) db_->cache().BindStations(prev_stations_);
     if (armed_here_) db_->sim().faults().Disarm();
     return reconfigured_ ? db_->ConfigureShards(prev_placement_)
                          : Status::OK();
@@ -677,7 +671,6 @@ class RunScope {
  private:
   Database* db_;
   const PlacementOptions prev_placement_;
-  const uint32_t prev_batch_;
   StationRegistry* const prev_stations_;
   bool reconfigured_ = false;
   bool armed_here_ = false;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/catalog/placement.h"
 #include "src/query/optimizer.h"
 #include "src/query/selection.h"
 #include "src/query/tree_query.h"
@@ -81,11 +80,6 @@ struct WorkloadSpec {
   bool cold_start = true;
   bool cold_per_query = false;
 
-  /// Vectored-fetch batch size installed for the run's duration
-  /// (CostModel::max_fetch_batch_pages; docs/fetch_batching.md). 1 = plain
-  /// page-at-a-time RPCs, the pre-batching behavior.
-  uint32_t max_fetch_batch_pages = 1;
-
   /// ---- Online adaptive reclustering (docs/clustering_model.md) ----
   /// false — the default — binds no HeatTracker, spawns no Reorganizer and
   /// installs no transaction machinery for it: the run is bit-identical to
@@ -132,9 +126,6 @@ struct WorkloadSpec {
   /// Primary/backup replication (needs num_servers >= 2): writes ship to
   /// both replicas, reads fail over to the backup when the primary is down.
   bool replication = false;
-  PlacementPolicy placement_policy = PlacementPolicy::kHash;
-  /// Stripe width of PlacementPolicy::kRange.
-  uint32_t range_block_pages = 64;
   /// Scheduled crashes, applied through the run's FaultInjector. If the
   /// injector is not already armed, RunWorkload arms it from `seed` for the
   /// run's duration (and disarms it after); an injector armed by the caller

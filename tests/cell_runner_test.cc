@@ -27,24 +27,21 @@ namespace treebench {
 namespace {
 
 /// Runs the pool into an in-memory sink and returns the captured bytes.
-std::string RunToString(CellRunner& runner, int* rc_out = nullptr) {
+std::string RunToString(CellRunner& runner) {
   char* buf = nullptr;
   size_t len = 0;
   FILE* sink = open_memstream(&buf, &len);
   EXPECT_NE(sink, nullptr);
-  int rc = runner.Run(sink);
+  runner.Run(sink);
   std::fclose(sink);
   std::string out(buf, len);
   std::free(buf);
-  if (rc_out != nullptr) *rc_out = rc;
   return out;
 }
 
 TEST(CellRunnerTest, ZeroCellsRunsToCompletion) {
   CellRunner runner(4);
-  int rc = -1;
-  EXPECT_EQ(RunToString(runner, &rc), "");
-  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(RunToString(runner), "");
   EXPECT_TRUE(runner.results().empty());
 }
 
@@ -52,14 +49,10 @@ TEST(CellRunnerTest, OneCellStreamsItsOutput) {
   CellRunner runner(4);
   runner.Submit("only", [](FILE* out) {
     std::fprintf(out, "hello from the only cell\n");
-    return 0;
   });
-  int rc = -1;
-  EXPECT_EQ(RunToString(runner, &rc), "hello from the only cell\n");
-  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(RunToString(runner), "hello from the only cell\n");
   ASSERT_EQ(runner.results().size(), 1u);
   EXPECT_EQ(runner.results()[0].label, "only");
-  EXPECT_EQ(runner.results()[0].rc, 0);
   EXPECT_GE(runner.results()[0].wall_seconds, 0.0);
 }
 
@@ -73,7 +66,6 @@ TEST(CellRunnerTest, OutputIsInSubmissionOrderEvenWhenLaterCellsFinishFirst) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(5 * (kCells - i)));
       std::fprintf(out, "cell %d line a\ncell %d line b\n", i, i);
-      return 0;
     });
   }
   std::string expected;
@@ -93,7 +85,6 @@ TEST(CellRunnerTest, SameCellsProduceIdenticalBytesAtEveryJobCount) {
         for (int j = 0; j <= i; ++j) {
           std::fprintf(out, "cell %d step %d\n", i, j);
         }
-        return 0;
       });
     }
     return runner;
@@ -106,38 +97,17 @@ TEST(CellRunnerTest, SameCellsProduceIdenticalBytesAtEveryJobCount) {
   }
 }
 
-TEST(CellRunnerTest, FirstNonzeroRcInSubmissionOrderWins) {
-  CellRunner runner(4);
-  const std::vector<int> rcs = {0, 3, 0, 5};
-  for (size_t i = 0; i < rcs.size(); ++i) {
-    runner.Submit("c" + std::to_string(i), [&, i](FILE*) {
-      // Let the rc=5 cell finish first; submission order must still win.
-      std::this_thread::sleep_for(std::chrono::milliseconds(i == 1 ? 20 : 1));
-      return rcs[i];
-    });
-  }
-  int rc = -1;
-  RunToString(runner, &rc);
-  EXPECT_EQ(rc, 3);
-  ASSERT_EQ(runner.results().size(), 4u);
-  for (size_t i = 0; i < rcs.size(); ++i) {
-    EXPECT_EQ(runner.results()[i].rc, rcs[i]);
-  }
-}
-
 TEST(CellRunnerTest, ExceptionIsRethrownAfterAllOutputIsFlushed) {
   CellRunner runner(2);
   runner.Submit("ok0", [](FILE* out) {
     std::fprintf(out, "cell 0 ran\n");
-    return 0;
   });
-  runner.Submit("boom", [](FILE* out) -> int {
+  runner.Submit("boom", [](FILE* out) {
     std::fprintf(out, "cell 1 partial output\n");
     throw std::runtime_error("cell 1 exploded");
   });
   runner.Submit("ok2", [](FILE* out) {
     std::fprintf(out, "cell 2 ran\n");
-    return 0;
   });
 
   char* buf = nullptr;
@@ -167,6 +137,7 @@ TEST(CellRunnerTest, WorkersActuallyRunConcurrently) {
   // can only complete if the cells overlap in time.
   constexpr uint32_t kJobs = 4;
   std::atomic<int> arrived{0};
+  std::atomic<int> saw_all{0};  // cells that saw every cell start
   CellRunner runner(kJobs);
   for (uint32_t i = 0; i < kJobs; ++i) {
     runner.Submit("b" + std::to_string(i), [&](FILE*) {
@@ -178,12 +149,12 @@ TEST(CellRunnerTest, WorkersActuallyRunConcurrently) {
            ++spin) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
-      return arrived.load() == int(kJobs) ? 0 : 1;
+      if (arrived.load() == int(kJobs)) saw_all.fetch_add(1);
     });
   }
-  int rc = -1;
-  RunToString(runner, &rc);
-  EXPECT_EQ(rc, 0) << "cells never overlapped: the pool serialized them";
+  RunToString(runner);
+  EXPECT_EQ(saw_all.load(), int(kJobs))
+      << "cells never overlapped: the pool serialized them";
   EXPECT_GT(runner.occupancy(), 0.0);
 }
 
@@ -195,18 +166,14 @@ TEST(CellRunnerTest, FreeWorkerTakesCellsInSubmissionOrder) {
   std::vector<int> order;
   runner.Submit("slow", [](FILE*) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    return 0;
   });
   for (int i = 1; i <= 5; ++i) {
     runner.Submit("c" + std::to_string(i), [&, i](FILE*) {
       std::lock_guard<std::mutex> lock(mu);
       order.push_back(i);
-      return 0;
     });
   }
-  int rc = -1;
-  RunToString(runner, &rc);
-  EXPECT_EQ(rc, 0);
+  RunToString(runner);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
@@ -271,8 +238,9 @@ WorkloadSpec TxnMixSpec() {
 /// The mixed cell set of the stress test: one read-only workload cell, one
 /// replicated-shard crash cell, one update-transaction cell — each with its
 /// own database build, each emitting its full report JSON (the artifact
-/// whose bytes the benches gate on).
-void SubmitEngineCells(CellRunner& runner) {
+/// whose bytes the benches gate on). A cell whose run fails prints why and
+/// counts itself in `*failures`.
+void SubmitEngineCells(CellRunner& runner, std::atomic<int>* failures) {
   struct EngineCell {
     const char* label;
     ClusteringStrategy clustering;
@@ -285,16 +253,16 @@ void SubmitEngineCells(CellRunner& runner) {
       {"txn_mix", ClusteringStrategy::kComposition, TxnMixSpec()},
   };
   for (const EngineCell& c : cells) {
-    runner.Submit(c.label, [c](FILE* out) {
+    runner.Submit(c.label, [c, failures](FILE* out) {
       auto derby = BuildTinyDerby(c.clustering);
       auto report = RunWorkload(derby.get(), c.spec);
       if (!report.ok()) {
         std::fprintf(out, "FAILED: %s\n", report.status().ToString().c_str());
-        return 1;
+        failures->fetch_add(1);
+        return;
       }
       std::fprintf(out, "=== %s ===\n%s\n", c.label,
                    report->ToJson().c_str());
-      return 0;
     });
   }
 }
@@ -305,19 +273,19 @@ TEST(CellDeterminismTest, EngineCellArtifactsAreByteIdenticalAcrossJobs) {
   // first (same-seed run-to-run stability under real thread interleaving).
   std::string reference;
   {
+    std::atomic<int> failures{0};
     CellRunner seq(1);
-    SubmitEngineCells(seq);
-    int rc = -1;
-    reference = RunToString(seq, &rc);
-    ASSERT_EQ(rc, 0) << reference;
+    SubmitEngineCells(seq, &failures);
+    reference = RunToString(seq);
+    ASSERT_EQ(failures.load(), 0) << reference;
     ASSERT_NE(reference.find("workload_mixed"), std::string::npos);
   }
   for (uint32_t jobs : {2u, 8u, 8u}) {
+    std::atomic<int> failures{0};
     CellRunner par(jobs);
-    SubmitEngineCells(par);
-    int rc = -1;
-    const std::string out = RunToString(par, &rc);
-    EXPECT_EQ(rc, 0);
+    SubmitEngineCells(par, &failures);
+    const std::string out = RunToString(par);
+    EXPECT_EQ(failures.load(), 0);
     EXPECT_EQ(out, reference) << "jobs=" << jobs;
   }
 }

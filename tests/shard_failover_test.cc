@@ -1,9 +1,9 @@
 // Tests of the sharded page service (src/catalog/placement.h,
 // src/cache/two_level_cache.cc) and its primary/backup failover:
 // placement-map determinism, the bit-for-bit identity gate of the classic
-// single-server configuration, replication write amplification, and the
-// crash -> failover -> cold-rejoin lifecycle, both at the cache level and
-// through whole fault-injected workload runs.
+// single-server configuration, per-shard station routing, replication
+// write amplification, and the crash -> failover -> cold-rejoin lifecycle,
+// both at the cache level and through whole fault-injected workload runs.
 #include <cstring>
 #include <memory>
 #include <string>
@@ -15,6 +15,9 @@
 #include "src/catalog/database.h"
 #include "src/catalog/placement.h"
 #include "src/cost/fault_injector.h"
+#include "src/cost/server_station.h"
+#include "src/cost/station_registry.h"
+#include "src/storage/disk_manager.h"
 #include "src/workload/sim_scheduler.h"
 
 namespace treebench {
@@ -32,12 +35,6 @@ TEST(PlacementTest, ValidateRejectsBadOptions) {
   EXPECT_FALSE(PlacementMap::Validate(opts).ok());
 
   opts.num_servers = 2;
-  EXPECT_TRUE(PlacementMap::Validate(opts).ok());
-
-  opts.policy = PlacementPolicy::kRange;
-  opts.range_block_pages = 0;
-  EXPECT_FALSE(PlacementMap::Validate(opts).ok());
-  opts.range_block_pages = 64;
   EXPECT_TRUE(PlacementMap::Validate(opts).ok());
 }
 
@@ -70,24 +67,6 @@ TEST(PlacementTest, HashPlacementSpreadsKeysAcrossShards) {
     EXPECT_GT(per_shard[shard], kKeys / 4 - kKeys / 10) << "shard " << shard;
     EXPECT_LT(per_shard[shard], kKeys / 4 + kKeys / 10) << "shard " << shard;
   }
-}
-
-TEST(PlacementTest, RangePlacementKeepsStripesTogether) {
-  PlacementOptions opts;
-  opts.num_servers = 4;
-  opts.policy = PlacementPolicy::kRange;
-  opts.range_block_pages = 64;
-  PlacementMap map(opts);
-
-  // All pages of one stripe share a shard; adjacent stripes differ.
-  uint32_t first = map.PrimaryShard(TwoLevelCache::PageKey(0, 0));
-  for (uint32_t p = 0; p < 64; ++p) {
-    EXPECT_EQ(map.PrimaryShard(TwoLevelCache::PageKey(0, p)), first);
-  }
-  EXPECT_EQ(map.PrimaryShard(TwoLevelCache::PageKey(0, 64)),
-            (first + 1) % 4);
-  // The file-id offset rotates stripe starts across files.
-  EXPECT_EQ(map.PrimaryShard(TwoLevelCache::PageKey(1, 0)), (first + 1) % 4);
 }
 
 TEST(PlacementTest, BackupIsRingNeighborAndNeverPrimary) {
@@ -269,6 +248,141 @@ TEST(ShardedCacheTest, CrashWithoutReplicationSurfacesUnavailable) {
   db.sim().faults().Disarm();
 }
 
+// ---- Per-shard station routing ----
+
+// A bare 2-shard cache whose client level holds one page, loaded with
+// `kPages` pages, flushed and emptied before any station is bound.
+class StationRoutingTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kPages = 16;
+  static constexpr double kServiceNs = 1000;
+
+  StationRoutingTest()
+      : cache_(&disk_, &sim_, SmallCaches(), TwoShards()),
+        file_(disk_.CreateFile("data")) {
+    for (uint32_t i = 0; i < kPages; ++i) {
+      EXPECT_TRUE(cache_.NewPage(file_).ok());
+    }
+    EXPECT_TRUE(cache_.Shutdown().ok());
+  }
+
+  static CacheConfig SmallCaches() {
+    CacheConfig c;
+    c.client_bytes = kPageSize;  // one page: every miss evicts the last one
+    c.server_bytes = 64 * kPageSize;
+    return c;
+  }
+  static PlacementOptions TwoShards() {
+    PlacementOptions p;
+    p.num_servers = 2;
+    return p;
+  }
+
+  /// The `n`-th page (from 0) whose primary shard is `shard`.
+  uint32_t PageOn(uint32_t shard, uint32_t n = 0) const {
+    uint32_t seen = 0;
+    for (uint32_t p = 0; p < kPages; ++p) {
+      if (cache_.placement().PrimaryShard(TwoLevelCache::PageKey(file_, p)) ==
+              shard &&
+          seen++ == n) {
+        return p;
+      }
+    }
+    ADD_FAILURE() << "no page " << n << " on shard " << shard;
+    return 0;
+  }
+
+  DiskManager disk_;
+  SimContext sim_;
+  TwoLevelCache cache_;
+  uint16_t file_;
+};
+
+// Every request admits at, and every server-side disk access extends, the
+// station of the shard it goes to — and only that one.
+TEST_F(StationRoutingTest, EachRequestAdmitsAtItsShardsStation) {
+  StationRegistry stations(2, kServiceNs, /*max_in_flight=*/0);
+  EXPECT_EQ(cache_.BindStations(&stations), nullptr);
+  EXPECT_EQ(cache_.stations(), &stations);
+  const ServerStation& s0 = stations.Station(0);
+  const ServerStation& s1 = stations.Station(1);
+  const double read_ns = sim_.model().disk_read_page_ns;
+
+  // A demand miss on a shard-1 page: one admission at station 1, held for
+  // the server's cold disk read.
+  ASSERT_TRUE(cache_.GetPage(file_, PageOn(1)).ok());
+  EXPECT_EQ(s1.admitted(), 1u);
+  EXPECT_DOUBLE_EQ(s1.busy_ns(), kServiceNs + read_ns);
+  EXPECT_EQ(s0.admitted(), 0u);
+  EXPECT_DOUBLE_EQ(s0.busy_ns(), 0.0);
+
+  // A write miss on a shard-0 page goes to station 0 the same way.
+  ASSERT_TRUE(cache_.GetPageForWrite(file_, PageOn(0)).ok());
+  EXPECT_EQ(s0.admitted(), 1u);
+  EXPECT_DOUBLE_EQ(s0.busy_ns(), kServiceNs + read_ns);
+  EXPECT_EQ(s1.admitted(), 1u);
+
+  // The next shard-1 miss evicts that dirty page: the miss admits at
+  // station 1 (plus its disk read), the write-back ships to shard 0 and
+  // admits there, with no disk access (the page lands dirty in shard 0's
+  // warm cache partition).
+  const Metrics before = sim_.metrics();
+  ASSERT_TRUE(cache_.GetPage(file_, PageOn(1, 1)).ok());
+  EXPECT_EQ(sim_.metrics().rpc_count, before.rpc_count + 2);
+  EXPECT_EQ(sim_.metrics().dirty_page_writebacks,
+            before.dirty_page_writebacks + 1);
+  EXPECT_EQ(s1.admitted(), 2u);
+  EXPECT_DOUBLE_EQ(s1.busy_ns(), 2 * (kServiceNs + read_ns));
+  EXPECT_EQ(s0.admitted(), 2u);
+  EXPECT_DOUBLE_EQ(s0.busy_ns(), 2 * kServiceNs + read_ns);
+
+  // Unbinding hands the registry back; later requests admit nowhere.
+  EXPECT_EQ(cache_.BindStations(nullptr), &stations);
+  ASSERT_TRUE(cache_.GetPage(file_, PageOn(0, 1)).ok());
+  EXPECT_EQ(s0.admitted() + s1.admitted(), 4u);
+}
+
+// An RPC to a crashed shard crosses the wire but no station admits it.
+TEST_F(StationRoutingTest, LostRpcToCrashedShardAdmitsNowhere) {
+  StationRegistry stations(2, kServiceNs, /*max_in_flight=*/0);
+  cache_.BindStations(&stations);
+  sim_.faults().Arm(99);
+  ScheduledFault crash;
+  crash.site = FaultSite::kServerCrash;
+  crash.target = 1;
+  sim_.faults().Schedule(crash);
+
+  const uint64_t rpcs = sim_.metrics().rpc_count;
+  auto page = cache_.GetPage(file_, PageOn(1));
+  EXPECT_EQ(page.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(sim_.metrics().rpc_count - rpcs,
+            cache_.config().retry.max_attempts);
+  EXPECT_GT(sim_.faults().injected(FaultSite::kServerBlackhole), 0u);
+  EXPECT_EQ(stations.TotalAdmitted(), 0u);
+  EXPECT_DOUBLE_EQ(stations.TotalBusyNs(), 0.0);
+  sim_.faults().Disarm();
+}
+
+// A registry smaller than the placement routes the shards it lacks to
+// Station(0), and a queued request's wait lands on the client's clock.
+TEST_F(StationRoutingTest, SmallerRegistryAdmitsAtStationZero) {
+  const double service_ns = 1e9;  // long enough that the next miss queues
+  StationRegistry one(1, service_ns, /*max_in_flight=*/0);
+  cache_.BindStations(&one);
+
+  ASSERT_TRUE(cache_.GetPage(file_, PageOn(1)).ok());
+  EXPECT_EQ(one.Station(0).admitted(), 1u);
+  EXPECT_DOUBLE_EQ(one.Station(0).busy_ns(),
+                   service_ns + sim_.model().disk_read_page_ns);
+  EXPECT_EQ(sim_.metrics().rpc_queue_wait_ns, 0u);
+
+  ASSERT_TRUE(cache_.GetPage(file_, PageOn(1, 1)).ok());
+  EXPECT_EQ(one.Station(0).admitted(), 2u);
+  EXPECT_GT(one.Station(0).queue_wait_ns(), 0.0);
+  EXPECT_EQ(sim_.metrics().rpc_queue_wait_ns,
+            static_cast<uint64_t>(one.Station(0).queue_wait_ns()));
+}
+
 // ---- Workload-level integration ----
 
 std::unique_ptr<DerbyDb> BuildSmallDerby() {
@@ -347,20 +461,6 @@ TEST(ShardWorkloadTest, MultiServerSpreadsLoadAcrossShardStations) {
   EXPECT_NE(report->ToJson().find("\"num_servers\": 4"), std::string::npos);
 }
 
-TEST(ShardWorkloadTest, RangePlacementRunsAndRestores) {
-  auto derby = BuildSmallDerby();
-  WorkloadSpec spec = MixedSpec(2, 2);
-  spec.num_servers = 3;
-  spec.placement_policy = PlacementPolicy::kRange;
-  spec.range_block_pages = 32;
-
-  auto report = RunWorkload(derby.get(), spec);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->failed_queries, 0u);
-  EXPECT_EQ(report->shards.size(), 3u);
-  EXPECT_EQ(derby->db->cache().NumShards(), 1u);
-}
-
 TEST(ShardWorkloadTest, InvalidShardSpecsAreRejected) {
   auto derby = BuildSmallDerby();
 
@@ -428,12 +528,13 @@ TEST(ShardWorkloadTest, PrimaryCrashMidRunFailsOverWithZeroFailedQueries) {
 
 TEST(ShardWorkloadTest, CrashSurvivesVectoredFetchBatches) {
   // Same campaign with group-RPC fetches on: the per-shard batch split and
-  // its reroute path must also complete every query.
+  // its reroute path must also complete every query. The run uses the
+  // database's own batch size.
   auto derby = BuildSmallDerby();
+  derby->db->sim().set_max_fetch_batch_pages(8);
   WorkloadSpec spec = MixedSpec(4, 6);
   spec.num_servers = 3;
   spec.replication = true;
-  spec.max_fetch_batch_pages = 8;
   spec.crashes.push_back({/*shard=*/0, /*at_ns=*/1e6});
 
   auto report = RunWorkload(derby.get(), spec);

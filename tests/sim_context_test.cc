@@ -16,28 +16,30 @@ TEST(SimContextTest, DiskAndRpcCharges) {
 }
 
 TEST(SimContextTest, HandleModeChangesCosts) {
-  SimContext sim;
-  sim.set_handle_mode(HandleMode::kFat);
-  sim.ChargeHandleGet();
-  double fat = sim.elapsed_ns();
-  sim.ResetClock();
-  sim.set_handle_mode(HandleMode::kCompact);
-  sim.ChargeHandleGet();
-  double compact = sim.elapsed_ns();
-  sim.ResetClock();
-  sim.set_handle_mode(HandleMode::kBulk);
-  sim.ChargeHandleGet();
-  double bulk = sim.elapsed_ns();
+  auto get_ns = [](HandleMode mode) {
+    SimContext sim(CostModel::Sparc20(), mode);
+    EXPECT_EQ(sim.handle_mode(), mode);
+    sim.ChargeHandleGet();
+    return sim.elapsed_ns();
+  };
+  double fat = get_ns(HandleMode::kFat);
+  double compact = get_ns(HandleMode::kCompact);
+  double bulk = get_ns(HandleMode::kBulk);
   EXPECT_GT(fat, compact);
   EXPECT_GT(compact, bulk);
 }
 
 TEST(SimContextTest, HandleBytesPerMode) {
-  SimContext sim;
-  sim.set_handle_mode(HandleMode::kFat);
-  EXPECT_EQ(sim.HandleBytes(), 60u);  // the paper's 60-byte handle
-  sim.set_handle_mode(HandleMode::kCompact);
-  EXPECT_LT(sim.HandleBytes(), 60u);
+  // The default context is the paper's fat-handle O2.
+  EXPECT_EQ(SimContext().HandleBytes(), 60u);  // the paper's 60-byte handle
+  EXPECT_EQ(SimContext(CostModel::Sparc20(), HandleMode::kFat).HandleBytes(),
+            60u);
+  EXPECT_LT(
+      SimContext(CostModel::Sparc20(), HandleMode::kCompact).HandleBytes(),
+      60u);
+  EXPECT_LT(SimContext(CostModel::Sparc20(), HandleMode::kBulk).HandleBytes(),
+            SimContext(CostModel::Sparc20(), HandleMode::kCompact)
+                .HandleBytes());
 }
 
 TEST(SimContextTest, ResetClockKeepsMemoryRegistrations) {

@@ -363,7 +363,6 @@ struct EngineBindings {
   PageLockHook* lock_hook;
   ObjectAccessObserver* observer;
   StationRegistry* stations;
-  uint32_t fetch_batch;
   bool armed;
   uint32_t shards;
 };
@@ -371,8 +370,7 @@ struct EngineBindings {
 EngineBindings Bindings(Database* db) {
   return {db->sim().bound_clock(),      db->cache().bound_client_cache(),
           db->store().bound_handle_table(), db->cache().lock_hook(),
-          db->store().access_observer(), db->sim().stations(),
-          db->sim().model().max_fetch_batch_pages,
+          db->store().access_observer(), db->cache().stations(),
           db->sim().faults().armed(),   db->cache().NumShards()};
 }
 
@@ -383,7 +381,6 @@ void ExpectBindings(const EngineBindings& want, const EngineBindings& got) {
   EXPECT_EQ(got.lock_hook, want.lock_hook);
   EXPECT_EQ(got.observer, want.observer);
   EXPECT_EQ(got.stations, want.stations);
-  EXPECT_EQ(got.fetch_batch, want.fetch_batch);
   EXPECT_EQ(got.armed, want.armed);
   EXPECT_EQ(got.shards, want.shards);
 }
@@ -397,10 +394,9 @@ TEST(WorkloadTest, RunWorkloadRestoresTheCallersEngineState) {
   PlacementOptions three;
   three.num_servers = 3;
   ASSERT_TRUE(db->ConfigureShards(three).ok());
-  db->sim().set_max_fetch_batch_pages(16);
   StationRegistry caller_stations(1, db->sim().model().server_service_ns,
                                   db->sim().model().server_max_in_flight);
-  db->sim().set_stations(&caller_stations);
+  db->cache().BindStations(&caller_stations);
   TxnManager caller_txns(db);
   TwoLevelCache::LockHookScope caller_hook(&db->cache(), &caller_txns);
   HeatTracker caller_heat(&db->sim());
