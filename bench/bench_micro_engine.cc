@@ -101,9 +101,11 @@ BENCHMARK(BM_CachedPageAccess);
 
 // Checksums one random page: Crc32 is the function every disk read and
 // write pays; Crc32Portable is its table-only path (the tail and the
-// fallback on CPUs without carry-less multiply).
-void CrcOfRandomPage(benchmark::State& state,
-                     uint32_t (*crc)(const uint8_t*, uint32_t)) {
+// fallback on CPUs without carry-less multiply); BM_Crc32Clmul128 and
+// BM_Crc32Clmul512 pin Crc32 to one bulk path, and report an error on a CPU
+// without it.
+template <typename Crc>
+void CrcOfRandomPage(benchmark::State& state, Crc crc) {
   std::vector<uint8_t> page(kPageSize);
   Lrand48 rng(11);
   for (uint8_t& b : page) b = static_cast<uint8_t>(rng.Next() >> 8);
@@ -118,6 +120,23 @@ void BM_Crc32Portable(benchmark::State& state) {
   CrcOfRandomPage(state, &Crc32Portable);
 }
 BENCHMARK(BM_Crc32Portable);
+void CrcOfRandomPageVia(benchmark::State& state, Crc32Path path) {
+  if (path > Crc32BulkPath()) {
+    state.SkipWithError("bulk path not supported on this CPU");
+    return;
+  }
+  CrcOfRandomPage(state, [path](const uint8_t* data, uint32_t len) {
+    return Crc32Via(path, data, len);
+  });
+}
+void BM_Crc32Clmul128(benchmark::State& state) {
+  CrcOfRandomPageVia(state, Crc32Path::kClmul128);
+}
+BENCHMARK(BM_Crc32Clmul128);
+void BM_Crc32Clmul512(benchmark::State& state) {
+  CrcOfRandomPageVia(state, Crc32Path::kClmul512);
+}
+BENCHMARK(BM_Crc32Clmul512);
 
 // A cyclic sweep over four times as many pages as the client and server
 // caches hold together: LRU evicts every page before its next visit, so each

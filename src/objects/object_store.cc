@@ -23,25 +23,19 @@ ObjectStore::ObjectStore(Schema* schema, TwoLevelCache* cache,
                               : sim->model().ram_bytes / 16) {}
 
 RecordFile* ObjectStore::File(uint16_t file_id) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
-    it = files_
-             .emplace(file_id, std::make_unique<RecordFile>(
-                                   cache_, file_id, fill_factor_))
-             .first;
+  if (file_id >= files_.size()) files_.resize(size_t{file_id} + 1);
+  std::unique_ptr<RecordFile>& file = files_[file_id];
+  if (file == nullptr) {
+    file = std::make_unique<RecordFile>(cache_, file_id, fill_factor_);
   }
-  return it->second.get();
+  return file.get();
 }
 
 void ObjectStore::ResetFileCursors() {
   const uint16_t live = cache_->disk()->file_count();
-  for (auto it = files_.begin(); it != files_.end();) {
-    if (it->first >= live) {
-      it = files_.erase(it);
-    } else {
-      it->second->ResetTailCursor();
-      ++it;
-    }
+  if (files_.size() > live) files_.resize(live);
+  for (const std::unique_ptr<RecordFile>& file : files_) {
+    if (file != nullptr) file->ResetTailCursor();
   }
   if (default_overflow_file_ != 0xFFFF && default_overflow_file_ >= live) {
     default_overflow_file_ = 0xFFFF;  // recreated lazily on next demand

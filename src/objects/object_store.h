@@ -5,7 +5,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/two_level_cache.h"
@@ -255,7 +254,8 @@ class ObjectStore {
   double fill_factor_;
   uint64_t handle_arena_bytes_;
 
-  std::unordered_map<uint16_t, std::unique_ptr<RecordFile>> files_;
+  /// Indexed by file id; null until the file is first used.
+  std::vector<std::unique_ptr<RecordFile>> files_;
   uint16_t default_overflow_file_ = 0xFFFF;
 
   // Active handle space (default: own_handles_). See HandleTable.

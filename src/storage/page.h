@@ -21,25 +21,44 @@ inline constexpr uint32_t kPageSize = 4096;
 inline constexpr uint32_t kPageChecksumOffset = kPageSize - 4;
 
 /// CRC-32 over `len` bytes: reflected polynomial 0xEDB88320, initial value
-/// and final xor 0xFFFFFFFF (Crc32("123456789") == 0xCBF43926). On x86-64
-/// CPUs with PCLMULQDQ and SSE4.1 (checked once, on first call) the
-/// 16-byte-multiple bulk of any input of 64 bytes or more goes through a
-/// carry-less-multiply folding kernel: four 128-bit lanes per 64-byte
-/// block, then 16 bytes per step, then a Barrett reduction to 32 bits.
-/// The rest — the tail under 16 bytes, short inputs, and every input on
-/// other CPUs — goes through the slicing-by-16 table loop of
-/// Crc32Portable. Both paths are bit-identical to the classic byte-wise
-/// table loop, which tests/page_test.cc keeps as its reference. A
-/// 4092-byte page (4080 bytes folded, 12 by table) costs about 0.28 us of
-/// host time, against about 2 us slicing-by-16 and 13-15 us byte-wise
-/// (BM_Crc32 and BM_Crc32Portable in bench_micro_engine, 2.0 GHz Xeon).
+/// and final xor 0xFFFFFFFF (Crc32("123456789") == 0xCBF43926). The
+/// 16-byte-multiple bulk of any input of 64 bytes or more goes through the
+/// widest carry-less-multiply folding kernel the CPU has (Crc32BulkPath,
+/// checked once, on first call):
+///  - kClmul512 (x86-64 with AVX-512F and VPCLMULQDQ): four 512-bit
+///    registers fold each 256-byte block, then combine into the four
+///    128-bit lanes that kClmul128 would hold after the same bytes;
+///  - kClmul128 (x86-64 with PCLMULQDQ and SSE4.1): four 128-bit lanes per
+///    64-byte block.
+/// Both then fold 16 bytes per step and reduce to 32 bits (Barrett). The
+/// rest — the tail under 16 bytes, short inputs, and every input under
+/// kTable — goes through the slicing-by-16 table loop of Crc32Portable.
+/// Every path is bit-identical to the classic byte-wise table loop, which
+/// tests/page_test.cc keeps as its reference. A 4092-byte page (4080 bytes
+/// folded, 12 by table) costs about 0.07 us of host time on the 512-bit
+/// path and 0.18 us on the 128-bit path, against about 1.5 us
+/// slicing-by-16 and 13-15 us byte-wise (BM_Crc32Clmul512,
+/// BM_Crc32Clmul128 and BM_Crc32Portable in bench_micro_engine, Sapphire
+/// Rapids Xeon).
 uint32_t Crc32(const uint8_t* data, uint32_t len);
 
 /// The same CRC-32 through the slicing-by-16 table loop alone (one
 /// constexpr 16x256 table, four little-endian 32-bit loads per 16-byte
-/// step, byte-wise tail). Crc32 runs the same loop for its tail and as its
-/// fallback; this entry point lets tests and benchmarks run it on any CPU.
+/// step, then 4-byte and byte-wise steps). Crc32 runs the same loop for its
+/// tail and as its fallback; this entry point lets tests and benchmarks run
+/// it on any CPU.
 uint32_t Crc32Portable(const uint8_t* data, uint32_t len);
+
+/// The bulk paths of Crc32, narrowest first. A CPU that runs one runs every
+/// narrower one.
+enum class Crc32Path { kTable, kClmul128, kClmul512 };
+
+/// The path Crc32 takes on this CPU.
+Crc32Path Crc32BulkPath();
+
+/// Crc32 through `path`, which must not be wider than Crc32BulkPath(), so
+/// tests and benchmarks can run every path this CPU has.
+uint32_t Crc32Via(Crc32Path path, const uint8_t* data, uint32_t len);
 
 /// Computes the checksum a coherent page image would carry.
 uint32_t PageChecksum(const uint8_t* page);

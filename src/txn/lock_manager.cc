@@ -18,7 +18,11 @@ LockManager::AcquireResult LockManager::Acquire(uint64_t txn, uint64_t key,
                                                 bool exclusive,
                                                 double now_ns) {
   AcquireResult res;
-  auto& mine = held_[txn];
+  if (last_held_ == nullptr || last_txn_ != txn) {
+    last_txn_ = txn;
+    last_held_ = &held_[txn];
+  }
+  std::unordered_map<uint64_t, bool>& mine = *last_held_;
   auto held_it = mine.find(key);
   bool upgrade = false;
   if (held_it != mine.end()) {
@@ -105,6 +109,7 @@ void LockManager::Release(uint64_t txn, double now_ns) {
         st.s_release_ns = std::max(st.s_release_ns, now_ns);
       }
     }
+    if (last_txn_ == txn) last_held_ = nullptr;
     held_.erase(mine_it);
   }
   waits_for_.erase(txn);

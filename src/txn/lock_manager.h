@@ -27,6 +27,11 @@ namespace treebench {
 /// closes the cycle dies, independent of ids or hash order).
 class LockManager {
  public:
+  LockManager() = default;
+  // Not copyable: last_held_ points into this object's own held_.
+  LockManager(const LockManager&) = delete;
+  LockManager& operator=(const LockManager&) = delete;
+
   enum class Outcome {
     kGranted,     // lock held; wait_ns charged if a released holder overlapped
     kWouldBlock,  // an open transaction holds the page; retry after it ends
@@ -80,6 +85,10 @@ class LockManager {
   std::unordered_map<uint64_t, PageState> pages_;
   /// txn -> (key -> exclusive) for every open holding.
   std::unordered_map<uint64_t, std::unordered_map<uint64_t, bool>> held_;
+  /// `held_[last_txn_]`, or null: consecutive accesses by one transaction
+  /// look its holdings up once. Release of that transaction clears it.
+  uint64_t last_txn_ = 0;
+  std::unordered_map<uint64_t, bool>* last_held_ = nullptr;
   std::unordered_map<uint64_t, std::vector<uint64_t>> waits_for_;
 };
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <list>
+#include <optional>
+#include <vector>
 
 #include "src/cache/lru_page_cache.h"
 #include "src/cache/two_level_cache.h"
+#include "src/common/random.h"
 #include "src/storage/disk_manager.h"
 #include "src/storage/record_file.h"
 #include "src/storage/rid.h"
@@ -136,6 +141,170 @@ TEST(LruPageCacheTest, TouchMissesAfterTheMruLeaves) {
   EXPECT_TRUE(single.Touch(2));
 }
 
+TEST(LruPageCacheTest, FlushDirtyVisitsLeastRecentlyUsedFirst) {
+  LruPageCache cache(8);
+  for (uint64_t k = 10; k <= 15; ++k) cache.Insert(k, /*dirty=*/k % 2 == 0);
+  cache.MarkDirty(13);
+  EXPECT_TRUE(cache.Touch(10));  // MRU..LRU: 10 15 14 13 12 11
+  EXPECT_TRUE(cache.Erase(14));
+  EXPECT_FALSE(cache.Insert(16, /*dirty=*/true).valid);  // 16 10 15 13 12 11
+  std::vector<uint64_t> flushed;
+  cache.FlushDirty([&](uint64_t key) { flushed.push_back(key); });
+  EXPECT_EQ(flushed, (std::vector<uint64_t>{12, 13, 10, 16}));
+  flushed.clear();
+  cache.FlushDirty([&](uint64_t key) { flushed.push_back(key); });
+  EXPECT_TRUE(flushed.empty());
+}
+
+// The obviously-correct LRU: a list, MRU first, searched linearly.
+class ListLru {
+ public:
+  explicit ListLru(uint32_t capacity) : capacity_(capacity) {}
+
+  size_t size() const { return lru_.size(); }
+  bool Contains(uint64_t key) const { return Find(key) != lru_.end(); }
+
+  bool Touch(uint64_t key) {
+    auto it = Find(key);
+    if (it == lru_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it);
+    return true;
+  }
+  LruPageCache::Evicted Insert(uint64_t key, bool dirty) {
+    LruPageCache::Evicted ev;
+    if (capacity_ == 0) return {true, key, dirty};
+    if (lru_.size() >= capacity_) {
+      ev = {true, lru_.back().key, lru_.back().dirty};
+      lru_.pop_back();
+    }
+    lru_.push_front({key, dirty});
+    return ev;
+  }
+  void MarkDirty(uint64_t key) {
+    auto it = Find(key);
+    if (it != lru_.end()) it->dirty = true;
+  }
+  bool ClearDirty(uint64_t key) {
+    auto it = Find(key);
+    if (it == lru_.end() || !it->dirty) return false;
+    it->dirty = false;
+    return true;
+  }
+  bool Erase(uint64_t key) {
+    auto it = Find(key);
+    if (it == lru_.end()) return false;
+    bool dirty = it->dirty;
+    lru_.erase(it);
+    return dirty;
+  }
+  std::vector<uint64_t> FlushDirty() {
+    std::vector<uint64_t> keys;
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+      if (it->dirty) keys.push_back(it->key);
+      it->dirty = false;
+    }
+    return keys;
+  }
+  void Clear() { lru_.clear(); }
+
+ private:
+  struct Page {
+    uint64_t key;
+    bool dirty;
+  };
+  std::list<Page>::iterator Find(uint64_t key) {
+    return std::find_if(lru_.begin(), lru_.end(),
+                        [key](const Page& p) { return p.key == key; });
+  }
+  std::list<Page>::const_iterator Find(uint64_t key) const {
+    return std::find_if(lru_.begin(), lru_.end(),
+                        [key](const Page& p) { return p.key == key; });
+  }
+
+  uint32_t capacity_;
+  std::list<Page> lru_;
+};
+
+// A key whose index hash (the top half of key * kMul) is `hash`: with inv
+// the inverse of kMul mod 2^64, key * kMul == (hash << 32) | low.
+uint64_t KeyWithHash(uint32_t hash, uint32_t low) {
+  const uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  uint64_t inv = kMul;
+  for (int i = 0; i < 6; ++i) inv *= 2 - kMul * inv;  // Newton's iteration
+  return ((uint64_t{hash} << 32) | low) * inv;
+}
+
+TEST(LruPageCacheTest, MatchesListModelOnRandomOperations) {
+  for (uint32_t capacity : {0u, 1u, 2u, 3u, 7u, 409u}) {
+    SCOPED_TRACE(capacity);
+    LruPageCache cache(capacity);
+    ListLru model(capacity);
+    // Keys homed at the index's last slot, at every index size, collide
+    // and wrap into slot 0, where more keys are homed; four keys share one
+    // hash; the rest are page-shaped (file << 32 | page).
+    std::vector<uint64_t> universe;
+    for (uint32_t i = 0; i < 6; ++i) {
+      universe.push_back(KeyWithHash(0xFFFFFFFFu - i, i));
+      ASSERT_EQ(cache.HomeSlot(universe.back()), cache.index_capacity() - 1);
+    }
+    for (uint32_t i = 0; i < 5; ++i) {
+      universe.push_back(KeyWithHash(i, i));
+      ASSERT_EQ(cache.HomeSlot(universe.back()), 0u);
+    }
+    for (uint32_t i = 1; i <= 4; ++i) {
+      universe.push_back(KeyWithHash(0x80000000u, i));
+    }
+    const uint32_t pages = std::max(8u, 3 * capacity);
+    for (uint32_t i = 0; i < pages; ++i) {
+      universe.push_back((uint64_t{i % 3} << 32) | (i / 3));
+    }
+    Lrand48 rng(capacity + 1);
+    for (int op = 0; op < 100000; ++op) {
+      const uint64_t key = universe[rng.Uniform(universe.size())];
+      const uint64_t kind = rng.Uniform(100);
+      if (kind < 40) {
+        if (model.Contains(key)) {
+          ASSERT_TRUE(cache.Touch(key));
+          model.Touch(key);
+        } else {
+          const bool dirty = rng.Uniform(4) == 0;
+          LruPageCache::Evicted got = cache.Insert(key, dirty);
+          LruPageCache::Evicted want = model.Insert(key, dirty);
+          ASSERT_EQ(got.valid, want.valid) << "op " << op;
+          if (want.valid) {
+            ASSERT_EQ(got.key, want.key) << "op " << op;
+            ASSERT_EQ(got.dirty, want.dirty) << "op " << op;
+          }
+        }
+      } else if (kind < 60) {
+        ASSERT_EQ(cache.Touch(key), model.Touch(key)) << "op " << op;
+      } else if (kind < 72) {
+        ASSERT_EQ(cache.Erase(key), model.Erase(key)) << "op " << op;
+      } else if (kind < 84) {
+        cache.MarkDirty(key);
+        model.MarkDirty(key);
+      } else if (kind < 96) {
+        ASSERT_EQ(cache.ClearDirty(key), model.ClearDirty(key)) << "op " << op;
+      } else if (kind < 99) {
+        ASSERT_EQ(cache.Contains(key), model.Contains(key)) << "op " << op;
+      } else if (rng.Uniform(20) == 0) {
+        cache.Clear();
+        model.Clear();
+      } else {
+        std::vector<uint64_t> flushed;
+        cache.FlushDirty([&](uint64_t k) { flushed.push_back(k); });
+        ASSERT_EQ(flushed, model.FlushDirty()) << "op " << op;
+      }
+      ASSERT_EQ(cache.size(), model.size()) << "op " << op;
+      if (op % 1000 == 999) {
+        for (uint64_t k : universe) {
+          ASSERT_EQ(cache.Contains(k), model.Contains(k)) << "op " << op;
+        }
+      }
+    }
+  }
+}
+
 class TwoLevelCacheTest : public ::testing::Test {
  protected:
   TwoLevelCacheTest() {
@@ -207,6 +376,62 @@ TEST_F(TwoLevelCacheTest, ShutdownFlushesAndColds) {
   auto before = sim_.metrics();
   cache_->GetPage(file_, 0);
   EXPECT_EQ(sim_.metrics().disk_reads, before.disk_reads + 1);  // cold again
+}
+
+// Writes pages 0..7 through a 4-page client level and a 2-page server
+// level, re-reads page 5, then shuts down. Every written page leaves the
+// client dirty and overfills the server, so all eight reach the disk:
+// three on server eviction during the writes, the rest during the flush.
+// Returns the pages whose checksum trailer is stale afterwards; when
+// `failing_write` is set, that (0-based) disk write fails, so its page is
+// the one left stale.
+std::vector<uint32_t> WriteOverflowAndShutDown(
+    std::optional<uint64_t> failing_write, uint64_t* disk_writes) {
+  DiskManager disk;
+  SimContext sim;
+  uint16_t file = disk.CreateFile("data");
+  for (int i = 0; i < 8; ++i) disk.AllocatePage(file);
+  CacheConfig cfg;
+  cfg.client_bytes = 4 * kPageSize;
+  cfg.server_bytes = 2 * kPageSize;
+  TwoLevelCache cache(&disk, &sim, cfg);
+  if (failing_write.has_value()) {
+    sim.faults().Arm(1);
+    ScheduledFault fault;
+    fault.site = FaultSite::kDiskWrite;
+    fault.at_op = *failing_write;
+    sim.faults().Schedule(fault);
+  }
+  for (uint32_t p = 0; p < 8; ++p) {
+    Result<uint8_t*> page = cache.GetPageForWrite(file, p);
+    if (page.ok()) (*page)[100] ^= 0xFF;  // the trailer is stale now
+  }
+  (void)cache.GetPage(file, 5);
+  (void)cache.Shutdown();
+  *disk_writes = sim.metrics().disk_writes;
+  std::vector<uint32_t> stale;
+  for (uint32_t p = 0; p < 8; ++p) {
+    if (!VerifyPageChecksum(disk.RawPage(file, p).value())) stale.push_back(p);
+  }
+  return stale;
+}
+
+// Pins the order in which dirty pages reach the disk. Both levels flush
+// least recently used first, and the client's flush order decides which
+// server pages its write-backs evict. An MRU-first flush would give
+// 0 1 2 3 5 7 4 6; an order that depended on a hash container's layout
+// could give anything.
+TEST(TwoLevelCacheFlushOrderTest, OverfilledServerWritesDirtyPagesInLruOrder) {
+  uint64_t writes = 0;
+  EXPECT_TRUE(WriteOverflowAndShutDown(std::nullopt, &writes).empty());
+  ASSERT_EQ(writes, 8u);
+  std::vector<uint32_t> sequence;
+  for (uint64_t n = 0; n < writes; ++n) {
+    std::vector<uint32_t> stale = WriteOverflowAndShutDown(n, &writes);
+    ASSERT_EQ(stale.size(), 1u) << "write " << n;
+    sequence.push_back(stale[0]);
+  }
+  EXPECT_EQ(sequence, (std::vector<uint32_t>{0, 1, 2, 3, 4, 6, 7, 5}));
 }
 
 TEST_F(TwoLevelCacheTest, NewPageIsBornDirtyWithoutReadIo) {

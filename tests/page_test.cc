@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -152,14 +153,48 @@ std::vector<uint8_t> RandomBytes(Lrand48* rng, size_t n) {
 }
 
 // Crc32 folds the 16-byte-multiple bulk of inputs of 64 bytes or more with
-// carry-less multiplies where the CPU has them and hands the rest to the
-// table loop; Crc32Portable is the table loop alone. Every case runs both.
+// the widest carry-less-multiply kernel the CPU has and hands the rest to
+// the table loop; Crc32Via runs each narrower bulk path, and Crc32Portable
+// is the table loop alone. Every case runs every path this CPU has.
+uint32_t Crc32Table(const uint8_t* data, uint32_t len) {
+  return Crc32Via(Crc32Path::kTable, data, len);
+}
+uint32_t Crc32Clmul128(const uint8_t* data, uint32_t len) {
+  return Crc32Via(Crc32Path::kClmul128, data, len);
+}
+uint32_t Crc32Clmul512(const uint8_t* data, uint32_t len) {
+  return Crc32Via(Crc32Path::kClmul512, data, len);
+}
+
 struct Crc32Kernel {
   const char* name;
   uint32_t (*fn)(const uint8_t*, uint32_t);
 };
-constexpr Crc32Kernel kKernels[] = {{"Crc32", &Crc32},
-                                    {"Crc32Portable", &Crc32Portable}};
+const std::vector<Crc32Kernel> kKernels = [] {
+  std::vector<Crc32Kernel> kernels = {{"Crc32", &Crc32},
+                                      {"Crc32Portable", &Crc32Portable},
+                                      {"kTable", &Crc32Table}};
+  if (Crc32BulkPath() >= Crc32Path::kClmul128) {
+    kernels.push_back({"kClmul128", &Crc32Clmul128});
+  }
+  if (Crc32BulkPath() >= Crc32Path::kClmul512) {
+    kernels.push_back({"kClmul512", &Crc32Clmul512});
+  }
+  return kernels;
+}();
+
+// CI logs show which bulk path ran: the 512-bit one only on CPUs with
+// AVX-512F and VPCLMULQDQ.
+TEST(Crc32Test, ReportsTheBulkPathCrc32Takes) {
+  const char* names[] = {"kTable (slicing-by-16)",
+                         "kClmul128 (PCLMULQDQ, 4 x 128-bit lanes)",
+                         "kClmul512 (AVX-512F + VPCLMULQDQ, 4 x 512-bit)"};
+  const Crc32Path path = Crc32BulkPath();
+  std::printf("Crc32 bulk path on this CPU: %s\n",
+              names[static_cast<int>(path)]);
+  RecordProperty("crc32_bulk_path", names[static_cast<int>(path)]);
+  EXPECT_EQ(kKernels.size(), 3u + static_cast<size_t>(path));
+}
 
 TEST(Crc32Test, KnownAnswers) {
   const std::string check = "123456789";
@@ -174,15 +209,18 @@ TEST(Crc32Test, KnownAnswers) {
 }
 
 // Each case gets a buffer that ends at the input's last byte, so a read past
-// `len` trips AddressSanitizer. Offsets 0..15 shift the word and 128-bit
-// loads through every alignment; lengths up to 320 cover the table-only
-// sizes, the first 64-byte fold block, the 16-byte single folds after it,
-// several 64-byte folds, and every tail length after each.
+// `len` trips AddressSanitizer. Offsets 0..15 shift the word, 128-bit and
+// 512-bit loads through every alignment; lengths up to 1,100 cover the
+// table-only sizes, the first 64-byte fold block, the 16-byte single folds
+// after it, several 64-byte folds, one and two 256-byte blocks of the
+// 512-bit kernel with every 64-byte and 16-byte remainder after them, and
+// every tail length after each.
 TEST(Crc32Test, MatchesReferenceAtEveryShortLengthAndOffset) {
+  constexpr uint32_t kMaxLen = 1100;
   Lrand48 rng(12);
-  const std::vector<uint8_t> bytes = RandomBytes(&rng, 320 + 16);
+  const std::vector<uint8_t> bytes = RandomBytes(&rng, kMaxLen + 16);
   for (uint32_t offset = 0; offset < 16; ++offset) {
-    for (uint32_t len = 0; len <= 320; ++len) {
+    for (uint32_t len = 0; len <= kMaxLen; ++len) {
       const std::vector<uint8_t> buf(bytes.begin(),
                                      bytes.begin() + offset + len);
       const uint32_t want = ReferenceCrc32(buf.data() + offset, len);
@@ -200,8 +238,10 @@ TEST(Crc32Test, MatchesReferenceOnRandomPages) {
     const std::vector<uint8_t> page = RandomBytes(&rng, kPageSize);
     const uint32_t want = ReferenceCrc32(page.data(), kPageChecksumOffset);
     ASSERT_EQ(PageChecksum(page.data()), want) << "page " << i;
-    ASSERT_EQ(Crc32Portable(page.data(), kPageChecksumOffset), want)
-        << "page " << i;
+    for (const Crc32Kernel& kernel : kKernels) {
+      ASSERT_EQ(kernel.fn(page.data(), kPageChecksumOffset), want)
+          << kernel.name << " page " << i;
+    }
   }
 }
 

@@ -243,6 +243,25 @@ Result<DmlStats> RunStmt(Database* db, TxnManager* txns,
   return RunDml(db, txns, bound);
 }
 
+// Acquire keeps the last transaction's held set between calls. Interleaved
+// ids must stay apart, and a release must drop the kept set, so the same
+// id starts over holding nothing.
+TEST(LockManagerTest, HeldSetLookupFollowsTheTransaction) {
+  LockManager locks;
+  EXPECT_TRUE(locks.Acquire(1, 10, false, 0).newly_acquired);
+  EXPECT_FALSE(locks.Acquire(1, 10, false, 0).newly_acquired);
+  EXPECT_TRUE(locks.Acquire(2, 10, false, 0).newly_acquired);
+  EXPECT_FALSE(locks.Acquire(1, 10, false, 0).newly_acquired);
+  EXPECT_TRUE(locks.Acquire(1, 11, false, 0).newly_acquired);
+  EXPECT_EQ(locks.HeldCount(1), 2u);
+  EXPECT_EQ(locks.HeldCount(2), 1u);
+  locks.Release(1, 5);
+  EXPECT_EQ(locks.HeldCount(1), 0u);
+  EXPECT_TRUE(locks.Acquire(1, 10, false, 5).newly_acquired);
+  EXPECT_EQ(locks.HeldCount(1), 1u);
+  EXPECT_EQ(locks.HeldCount(2), 1u);
+}
+
 TEST(TxnConflictTest, OpenTransactionBlocksAndRetrySucceeds) {
   auto derby = SmallDerby(ClusteringStrategy::kClassClustered);
   Database* db = derby->db.get();
