@@ -1,6 +1,5 @@
 #include "src/query/index_fetch.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "src/cost/trace.h"
@@ -63,32 +62,30 @@ Status ForEachSelected(Database* db, const std::string& collection,
   }
 
   // Sorted index scan (paper Figure 8, right): collect the qualifying
-  // Rids, sort them by physical position, then fetch sequentially. Three
-  // distinct phases, one span each.
-  std::vector<Rid> rids;
+  // Rids as packed keys, sort them by physical position with a radix sort,
+  // then fetch sequentially. Three distinct phases, one span each.
+  std::vector<uint64_t> keys;
   {
     MetricScope scope(&sim, "index_scan(" + collection + ")");
     auto it = idx->tree->Scan(lo, hi);
     for (; it.Valid(); it.Next()) {
-      rids.push_back(it.rid());
+      keys.push_back(it.rid().Packed());
     }
     TB_RETURN_IF_ERROR(it.status());
-    scope.AddRows(rids.size());
+    scope.AddRows(keys.size());
   }
   {
     MetricScope scope(&sim, "rid_sort");
-    sim.ChargeSort(rids.size());
-    std::sort(rids.begin(), rids.end(), [](const Rid& a, const Rid& b) {
-      return a.Packed() < b.Packed();
-    });
-    scope.AddRows(rids.size());
+    sim.ChargeSort(keys.size());
+    SortPackedRids(&keys);
+    scope.AddRows(keys.size());
   }
   MetricScope scope(&sim, "fetch_sorted(" + collection + ")");
-  scope.AddRows(rids.size());
+  scope.AddRows(keys.size());
   // Already rid-sorted, but the pages are still scattered: kRidSorted
   // groups a full window per RPC where run detection would degrade to
   // singleton requests.
-  return DeliverRidsBatched(db, rids, BatchPolicy::kRidSorted, fn);
+  return DeliverRidsBatched(db, keys, BatchPolicy::kRidSorted, fn);
 }
 
 }  // namespace treebench

@@ -19,7 +19,10 @@ enum class FetchOrder {
   /// Fetch in key order regardless (the naive unclustered index scan whose
   /// random I/O the paper's Figure 6 exposes).
   kKeyOrder,
-  /// Always sort Rids before fetching.
+  /// Always sort Rids before fetching. The sorted path collects the index
+  /// range as packed Rids (Rid::Packed) and orders them with SortPackedRids,
+  /// a radix sort linear in their number; the simulation charges the sort
+  /// as SimContext::ChargeSort(n) either way.
   kRidSorted,
 };
 

@@ -1,6 +1,7 @@
 #include "src/query/vectored_fetch.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "src/cache/two_level_cache.h"
@@ -30,9 +31,19 @@ BatchPolicy RefSetBatchPolicy(Database* db) {
   return BatchPolicy::kRidSorted;
 }
 
-Status DeliverRidsWindowed(Database* db, std::span<const Rid> rids,
-                           BatchPolicy policy, size_t cap,
-                           const std::function<Status(const Rid&)>& fn) {
+namespace {
+
+Rid RidAt(std::span<const Rid> rids, size_t k) { return rids[k]; }
+Rid RidAt(std::span<const uint64_t> packed, size_t k) {
+  return Rid::FromPacked(packed[k]);
+}
+
+// DeliverRidsWindowed over either input form. Packed input is unpacked one
+// window at a time into `window_rids`, the span GetBatch materializes.
+template <typename T>
+Status DeliverWindowed(Database* db, std::span<const T> rids,
+                       BatchPolicy policy, size_t cap,
+                       const std::function<Status(const Rid&)>& fn) {
   TwoLevelCache& cache = db->cache();
   ObjectStore& store = db->store();
 
@@ -43,6 +54,7 @@ Status DeliverRidsWindowed(Database* db, std::span<const Rid> rids,
   MetricScope scope(&db->sim(), "vectored_fetch");
   std::vector<uint64_t> window_keys;
   window_keys.reserve(cap);
+  std::vector<Rid> window_rids;
   size_t i = 0;
   while (i < rids.size()) {
     // Grow the window until it spans `cap` distinct pages (first-touch
@@ -50,8 +62,8 @@ Status DeliverRidsWindowed(Database* db, std::span<const Rid> rids,
     window_keys.clear();
     size_t j = i;
     while (j < rids.size()) {
-      uint64_t key =
-          TwoLevelCache::PageKey(rids[j].file_id, rids[j].page_id);
+      const Rid rid = RidAt(rids, j);
+      uint64_t key = TwoLevelCache::PageKey(rid.file_id, rid.page_id);
       bool seen = std::find(window_keys.begin(), window_keys.end(), key) !=
                   window_keys.end();
       if (!seen) {
@@ -66,10 +78,18 @@ Status DeliverRidsWindowed(Database* db, std::span<const Rid> rids,
       TB_RETURN_IF_ERROR(cache.FetchPages(batch));
     }
 
+    std::span<const Rid> window;
+    if constexpr (std::is_same_v<T, Rid>) {
+      window = rids.subspan(i, j - i);
+    } else {
+      window_rids.clear();
+      for (size_t k = i; k < j; ++k) window_rids.push_back(RidAt(rids, k));
+      window = window_rids;
+    }
     std::vector<ObjectHandle*> handles;
-    TB_ASSIGN_OR_RETURN(handles, store.GetBatch(rids.subspan(i, j - i)));
-    for (size_t k = i; k < j; ++k) {
-      Status s = fn(rids[k]);
+    TB_ASSIGN_OR_RETURN(handles, store.GetBatch(window));
+    for (const Rid& rid : window) {
+      Status s = fn(rid);
       if (!s.ok()) {
         store.UnrefBatch(handles);
         return s;
@@ -80,6 +100,20 @@ Status DeliverRidsWindowed(Database* db, std::span<const Rid> rids,
   }
   scope.AddRows(rids.size());
   return Status::OK();
+}
+
+}  // namespace
+
+Status DeliverRidsWindowed(Database* db, std::span<const Rid> rids,
+                           BatchPolicy policy, size_t cap,
+                           const std::function<Status(const Rid&)>& fn) {
+  return DeliverWindowed(db, rids, policy, cap, fn);
+}
+
+Status DeliverRidsWindowed(Database* db, std::span<const uint64_t> packed,
+                           BatchPolicy policy, size_t cap,
+                           const std::function<Status(const Rid&)>& fn) {
+  return DeliverWindowed(db, packed, policy, cap, fn);
 }
 
 }  // namespace treebench

@@ -33,6 +33,11 @@ BatchPolicy RefSetBatchPolicy(Database* db);
 Status DeliverRidsWindowed(Database* db, std::span<const Rid> rids,
                            BatchPolicy policy, size_t cap,
                            const std::function<Status(const Rid&)>& fn);
+/// The same over packed Rids (Rid::Packed): converts one window at a time
+/// to the Rids it materializes and delivers.
+Status DeliverRidsWindowed(Database* db, std::span<const uint64_t> packed,
+                           BatchPolicy policy, size_t cap,
+                           const std::function<Status(const Rid&)>& fn);
 
 /// The batched delivery loop shared by the scan/fetch paths
 /// (docs/fetch_batching.md): slides a window over `rids`, plans group RPCs
@@ -54,6 +59,21 @@ Status DeliverRidsBatched(Database* db, std::span<const Rid> rids,
   }
   // std::ref keeps the std::function in its inline buffer: no allocation.
   return DeliverRidsWindowed(db, rids, policy, cap, std::ref(fn));
+}
+
+/// DeliverRidsBatched over packed Rids (Rid::Packed), as the sorted index
+/// fetch collects them: the same windows, RPCs and calls as over the
+/// unpacked Rids. At a window of 1 it unpacks key by key, so no Rid copy
+/// of the input is built.
+template <typename Fn>
+Status DeliverRidsBatched(Database* db, std::span<const uint64_t> packed,
+                          BatchPolicy policy, Fn&& fn) {
+  const size_t cap = db->cache().ReadaheadWindow();
+  if (cap <= 1 || packed.size() <= 1) {
+    for (uint64_t key : packed) TB_RETURN_IF_ERROR(fn(Rid::FromPacked(key)));
+    return Status::OK();
+  }
+  return DeliverRidsWindowed(db, packed, policy, cap, std::ref(fn));
 }
 
 /// The full collection scan shared by the selection scan and the no-index

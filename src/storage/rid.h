@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/common/byte_io.h"
 
@@ -39,7 +40,9 @@ struct Rid {
   static constexpr int kEncodedSize = 8;
 
   /// Packs into one integer that orders Rids by physical position — the key
-  /// used when sorting Rids before a fetch pass (paper Section 4.2).
+  /// the sorted index fetch collects and orders with SortPackedRids before
+  /// its fetch pass (paper Section 4.2). Packing is lossless, so distinct
+  /// Rids have distinct keys.
   uint64_t Packed() const {
     return (static_cast<uint64_t>(file_id) << 48) |
            (static_cast<uint64_t>(page_id) << 16) | slot;
@@ -53,6 +56,14 @@ struct Rid {
 
   std::string ToString() const;
 };
+
+/// Sorts packed Rids (Rid::Packed) ascending, in time linear in their
+/// number: an LSD radix sort that makes one stable counting pass per byte
+/// that varies across `keys` (an OR/AND mask finds those bytes), through
+/// one scratch buffer of keys->size() keys. Returns the number of passes,
+/// 0 when every key is equal. One file with 1,617 pages and slots below 64
+/// (Derby scale 20) takes three.
+int SortPackedRids(std::vector<uint64_t>* keys);
 
 /// The canonical invalid Rid ("nil" reference).
 inline constexpr Rid kNilRid{};

@@ -35,6 +35,88 @@ TEST(RidTest, PackedOrdersByPhysicalPosition) {
   EXPECT_LT(Rid(0, 9, 9).Packed(), Rid(1, 0, 0).Packed());
 }
 
+// Checks SortPackedRids against std::sort on a copy of `keys`; returns the
+// passes it made.
+int ExpectSortsLikeStdSort(std::vector<uint64_t> keys) {
+  std::vector<uint64_t> expected = keys;
+  std::sort(expected.begin(), expected.end());
+  int passes = SortPackedRids(&keys);
+  EXPECT_EQ(keys, expected) << "n = " << keys.size();
+  return passes;
+}
+
+// One input shape per generator, at every size the radix sort must handle:
+// empty, single, the 64-key edges and a large input.
+template <typename Gen>
+void ExpectSortsAtEverySize(Gen gen) {
+  for (size_t n : {0, 1, 2, 63, 64, 65, 1000, 100000}) {
+    Lrand48 rng(n + 11);
+    std::vector<uint64_t> keys;
+    for (size_t i = 0; i < n; ++i) keys.push_back(gen(rng, i));
+    ExpectSortsLikeStdSort(keys);
+  }
+}
+
+uint64_t RandomU64(Lrand48& rng) {
+  return (static_cast<uint64_t>(rng.Uniform(1u << 16)) << 48) |
+         (static_cast<uint64_t>(rng.Uniform(1u << 16)) << 32) |
+         (static_cast<uint64_t>(rng.Uniform(1u << 16)) << 16) |
+         rng.Uniform(1u << 16);
+}
+
+TEST(RidTest, RadixSortMatchesStdSortOnRandomKeys) {
+  // Scale-20 geometry: one file, 1,617 pages, slots below 64.
+  ExpectSortsAtEverySize([](Lrand48& rng, size_t) {
+    return Rid(2, rng.Uniform(1617), rng.Uniform(64)).Packed();
+  });
+}
+
+TEST(RidTest, RadixSortMatchesStdSortWhenOnlyFileIdVaries) {
+  ExpectSortsAtEverySize([](Lrand48& rng, size_t) {
+    return Rid(rng.Uniform(0xFFFF), 77, 5).Packed();
+  });
+}
+
+TEST(RidTest, RadixSortMatchesStdSortWhenOnlySlotVaries) {
+  ExpectSortsAtEverySize([](Lrand48& rng, size_t) {
+    return Rid(3, 1234, rng.Uniform(256)).Packed();
+  });
+}
+
+TEST(RidTest, RadixSortMatchesStdSortWhenAllBytesVary) {
+  ExpectSortsAtEverySize([](Lrand48& rng, size_t) { return RandomU64(rng); });
+}
+
+TEST(RidTest, RadixSortMatchesStdSortWithDuplicates) {
+  ExpectSortsAtEverySize([](Lrand48& rng, size_t) {
+    return Rid(rng.Uniform(2), rng.Uniform(4), rng.Uniform(3)).Packed();
+  });
+}
+
+TEST(RidTest, RadixSortMatchesStdSortOnSortedAndReversedInput) {
+  ExpectSortsAtEverySize([](Lrand48&, size_t i) {
+    return Rid(1, static_cast<uint32_t>(i / 50), i % 50).Packed();
+  });
+  ExpectSortsAtEverySize([](Lrand48&, size_t i) {
+    return ~uint64_t{0} - i * 0x0101010101ull;
+  });
+}
+
+TEST(RidTest, RadixSortMakesOnePassPerVaryingByte) {
+  // All-equal input: the mask is 0, so no pass runs.
+  EXPECT_EQ(ExpectSortsLikeStdSort(
+                std::vector<uint64_t>(1000, Rid(4, 99, 7).Packed())),
+            0);
+  // Scale-20 geometry: the page id spans two bytes, the slot one.
+  std::vector<uint64_t> keys;
+  Lrand48 rng(20);
+  for (int i = 0; i < 90000; ++i) {
+    keys.push_back(Rid(2, rng.Uniform(1617), rng.Uniform(64)).Packed());
+  }
+  EXPECT_EQ(ExpectSortsLikeStdSort(keys), 3);
+  EXPECT_EQ(ExpectSortsLikeStdSort({Rid(0, 0, 0).Packed(), ~uint64_t{0}}), 8);
+}
+
 TEST(DiskManagerTest, CreateFilesAndPages) {
   DiskManager disk;
   uint16_t f1 = disk.CreateFile("providers");

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -28,9 +29,11 @@
 #include "src/benchdb/derby.h"
 #include "src/cache/readahead.h"
 #include "src/cache/two_level_cache.h"
+#include "src/common/random.h"
 #include "src/cost/fault_injector.h"
 #include "src/query/selection.h"
 #include "src/query/tree_query.h"
+#include "src/query/vectored_fetch.h"
 
 namespace treebench {
 namespace {
@@ -494,6 +497,59 @@ TEST(FetchBatchDifferentialTest, KnobRoundTripRestoresBitIdenticalMetrics) {
       << "B=1 after a B=16 excursion is not the pre-batching engine";
   EXPECT_EQ(after.seconds, before.seconds);
   EXPECT_EQ(after.result_count, before.result_count);
+}
+
+// The sorted index fetch delivers packed Rids (Rid::Packed). At every
+// window, the packed overload of DeliverRidsBatched must deliver the same
+// Rids in the same order, and charge the same, as the Rid overload.
+TEST(FetchBatchDifferentialTest, PackedDeliveryMatchesRidDelivery) {
+  auto derby = RandomDerby(7, ClusteringStrategy::kRandomized);
+  Database* db = derby->db.get();
+  PersistentCollection* col = db->GetCollection("Patients").value();
+  std::vector<Rid> rids;
+  for (auto it = col->Scan(); it.Valid(); it.Next()) rids.push_back(it.rid());
+  // A scattered order, then a quarter of the Rids again as repeats.
+  Lrand48 rng(7);
+  for (size_t i = rids.size() - 1; i > 0; --i) {
+    std::swap(rids[i], rids[rng.Uniform(i + 1)]);
+  }
+  const size_t repeats = rids.size() / 4;
+  for (size_t i = 0; i < repeats; ++i) rids.push_back(rids[i]);
+  std::vector<uint64_t> packed;
+  for (const Rid& rid : rids) packed.push_back(rid.Packed());
+
+  struct Delivery {
+    std::vector<Rid> seen;
+    Metrics metrics;
+    double seconds = 0;
+  };
+  auto deliver = [&](auto input) {
+    EXPECT_TRUE(db->BeginMeasuredRun().ok());
+    Delivery d;
+    EXPECT_TRUE(DeliverRidsBatched(db, input, BatchPolicy::kRidSorted,
+                                   [&](const Rid& rid) {
+                                     d.seen.push_back(rid);
+                                     return Status::OK();
+                                   })
+                    .ok());
+    d.metrics = db->sim().metrics();
+    d.seconds = db->sim().elapsed_seconds();
+    return d;
+  };
+  for (uint32_t batch : {1u, 4u, 16u}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    db->sim().set_max_fetch_batch_pages(batch);
+    Delivery by_rid = deliver(std::span<const Rid>(rids));
+    Delivery by_key = deliver(std::span<const uint64_t>(packed));
+    EXPECT_EQ(by_rid.seen, rids);
+    EXPECT_EQ(by_key.seen, rids);
+    EXPECT_TRUE(by_key.metrics == by_rid.metrics);
+    EXPECT_EQ(by_key.seconds, by_rid.seconds);
+    if (batch > 1) {
+      EXPECT_GT(by_key.metrics.batched_rpcs, 0u);
+    }
+  }
+  db->sim().set_max_fetch_batch_pages(1);
 }
 
 // Transient RPC faults injected into the middle of group requests are
