@@ -51,9 +51,7 @@ ProviderGen GenProvider(uint64_t seed, uint64_t i) {
 uint64_t DistinctPages(const std::vector<Rid>& rids) {
   std::unordered_set<uint64_t> pages;
   pages.reserve(rids.size() / 16 + 1);
-  for (const Rid& r : rids) {
-    pages.insert((static_cast<uint64_t>(r.file_id) << 32) | r.page_id);
-  }
+  for (const Rid& r : rids) pages.insert(PageKey(r.file_id, r.page_id));
   return pages.size();
 }
 

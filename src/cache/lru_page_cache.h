@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/flat_index.h"
+
 namespace treebench {
 
 /// LRU residency tracker for one cache level. It tracks *which* pages are
@@ -13,12 +15,11 @@ namespace treebench {
 ///
 /// Resident pages live in a flat slot array that grows up to the capacity,
 /// threaded MRU-to-LRU by intrusive 32-bit prev/next links; a freed slot
-/// is reused by the next insertion. The key index is open addressing with
-/// linear probing, built like HandleMap's: Fibonacci hash, power-of-two
-/// capacity, load factor at most 1/2, backward-shift deletion. Every
-/// walk follows the LRU links, never the index, so the order in which a
-/// flush visits pages — and with it every simulated number — depends on
-/// the access sequence alone: FlushDirty walks least-recently-used first.
+/// is reused by the next insertion. The key index is the shared FlatIndex,
+/// from page key to slot. Every walk follows the LRU links, never the
+/// index, so the order in which a flush visits pages — and with it every
+/// simulated number — depends on the access sequence alone: FlushDirty
+/// walks least-recently-used first.
 class LruPageCache {
  public:
   /// Result of an insertion: the page that had to be evicted, if any.
@@ -34,7 +35,7 @@ class LruPageCache {
   LruPageCache& operator=(const LruPageCache&) = delete;
 
   uint32_t capacity() const { return capacity_; }
-  uint32_t size() const { return size_; }
+  uint32_t size() const { return static_cast<uint32_t>(index_.size()); }
 
   bool Contains(uint64_t key) const { return Find(key) != kNone; }
 
@@ -86,14 +87,8 @@ class LruPageCache {
   /// Drops everything (server shutdown between cold runs).
   void Clear();
 
-  /// Index geometry, public so tests can choose keys that collide or wrap
-  /// around the end of the index.
-  size_t index_capacity() const { return index_.size(); }
-  size_t HomeSlot(uint64_t key) const { return Hash(key) >> shift_; }
-
  private:
-  static constexpr size_t kMinIndex = 16;
-  static constexpr uint32_t kNone = ~uint32_t{0};
+  static constexpr uint32_t kNone = FlatIndex::kNoId;
 
   struct Slot {
     uint64_t key;
@@ -101,25 +96,17 @@ class LruPageCache {
     uint32_t next;  // toward LRU; kNone at the tail (or the next free slot)
     bool dirty;
   };
-  struct Entry {
-    uint32_t hash = 0;
-    uint32_t slot = kNone;  // kNone marks an empty index entry
-  };
-
-  // Fibonacci hashing: the top bits of the product mix every key bit.
-  static uint32_t Hash(uint64_t key) {
-    return static_cast<uint32_t>((key * 0x9E3779B97F4A7C15ull) >> 32);
-  }
 
   /// The slot holding `key`, or kNone.
   uint32_t Find(uint64_t key) const {
-    const uint32_t hash = Hash(key);
-    for (size_t i = hash >> shift_;; i = (i + 1) & mask_) {
-      const Entry& e = index_[i];
-      if (e.slot == kNone) return kNone;
-      if (e.hash == hash && slots_[e.slot].key == key) return e.slot;
-    }
+    return index_.Find(key, SlotKey{this});
   }
+
+  // Slot `s`'s key, for the index to confirm a hash match.
+  struct SlotKey {
+    const LruPageCache* cache;
+    uint64_t operator()(uint32_t s) const { return cache->slots_[s].key; }
+  };
 
   void Unlink(uint32_t s) {
     const Slot& slot = slots_[s];
@@ -133,21 +120,12 @@ class LruPageCache {
     head_ = s;
   }
 
-  void ResetIndex(size_t capacity);
-  void IndexInsert(uint64_t key, uint32_t s);
-  /// Removes `key`'s index entry; the key must be resident. Returns its
-  /// slot.
-  uint32_t IndexErase(uint64_t key);
-
   uint32_t capacity_;
-  uint32_t size_ = 0;
   uint32_t head_ = kNone;  // MRU
   uint32_t tail_ = kNone;  // LRU
   uint32_t free_ = kNone;  // erased slots, linked through `next`
   std::vector<Slot> slots_;
-  std::vector<Entry> index_;
-  size_t mask_ = 0;
-  int shift_ = 32;
+  FlatIndex index_;  // key -> slot
 };
 
 }  // namespace treebench

@@ -9,8 +9,8 @@
 namespace treebench {
 
 /// How a batched fetch shapes the pages it requests per group RPC
-/// (docs/fetch_batching.md). Page keys are TwoLevelCache::PageKey values:
-/// (file_id << 32) | page_id, so consecutive key values are physically
+/// (docs/fetch_batching.md). Page keys are PageKey values
+/// (src/storage/rid.h), so consecutive key values are physically
 /// consecutive pages of one file.
 enum class BatchPolicy {
   /// Detect maximal runs of physically consecutive pages and issue one

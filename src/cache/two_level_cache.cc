@@ -93,8 +93,7 @@ void TwoLevelCache::PollCrash(uint32_t shard) {
 }
 
 void TwoLevelCache::RestampPage(uint64_t key) {
-  Result<uint8_t*> raw = disk_->RawPage(static_cast<uint16_t>(key >> 32),
-                                        static_cast<uint32_t>(key));
+  Result<uint8_t*> raw = disk_->RawPage(PageKeyFile(key), PageKeyPage(key));
   if (raw.ok()) StampPageChecksum(*raw);
 }
 
@@ -138,7 +137,7 @@ uint32_t TwoLevelCache::RouteRead(uint64_t key) {
 
 Result<uint8_t*> TwoLevelCache::Ensure(uint16_t file_id, uint32_t page_id,
                                        bool for_write) {
-  uint64_t key = Key(file_id, page_id);
+  uint64_t key = treebench::PageKey(file_id, page_id);
   // The lock precedes the access: a transaction blocked (or killed as a
   // deadlock victim) on the page lock never touches the cache levels.
   if (lock_hook_ != nullptr) {
@@ -306,8 +305,8 @@ Status TwoLevelCache::EnsureAtServer(uint64_t key, uint32_t shard) {
     return Status::Unavailable("disk read failed");
   }
   sim_->ChargeDiskRead();
-  uint16_t file_id = static_cast<uint16_t>(key >> 32);
-  uint32_t page_id = static_cast<uint32_t>(key);
+  const uint16_t file_id = PageKeyFile(key);
+  const uint32_t page_id = PageKeyPage(key);
   TB_ASSIGN_OR_RETURN(const uint8_t* raw, disk_->RawPage(file_id, page_id));
   if (!VerifyPageChecksum(raw)) {
     ++m.corruptions_detected;
@@ -364,9 +363,8 @@ Status TwoLevelCache::WriteToDisk(uint64_t key, uint32_t shard) {
     sim_->ChargeDiskWrite();
     return Status::Unavailable("disk write failed");
   }
-  uint16_t file_id = static_cast<uint16_t>(key >> 32);
-  uint32_t page_id = static_cast<uint32_t>(key);
-  TB_ASSIGN_OR_RETURN(uint8_t* raw, disk_->RawPage(file_id, page_id));
+  TB_ASSIGN_OR_RETURN(uint8_t* raw,
+                      disk_->RawPage(PageKeyFile(key), PageKeyPage(key)));
   StampPageChecksum(raw);
   if (sim_->faults().ShouldFail(FaultSite::kPageWriteCorruption,
                                 sim_->elapsed_ns())) {
@@ -381,7 +379,8 @@ Status TwoLevelCache::WriteToDisk(uint64_t key, uint32_t shard) {
 Result<std::pair<uint32_t, uint8_t*>> TwoLevelCache::NewPage(
     uint16_t file_id) {
   uint32_t page_id = disk_->AllocatePage(file_id);
-  TB_RETURN_IF_ERROR(InsertAtClient(Key(file_id, page_id), /*dirty=*/true));
+  TB_RETURN_IF_ERROR(InsertAtClient(treebench::PageKey(file_id, page_id),
+                                    /*dirty=*/true));
   TB_ASSIGN_OR_RETURN(uint8_t* raw, disk_->RawPage(file_id, page_id));
   return std::pair<uint32_t, uint8_t*>(page_id, raw);
 }
@@ -424,7 +423,9 @@ Status TwoLevelCache::ReadAhead(uint16_t file_id, uint32_t page_id,
   const uint32_t end = std::min(disk_->NumPages(file_id), page_id + window);
   std::vector<uint64_t> keys;
   keys.reserve(end - page_id);
-  for (uint32_t p = page_id; p < end; ++p) keys.push_back(Key(file_id, p));
+  for (uint32_t p = page_id; p < end; ++p) {
+    keys.push_back(treebench::PageKey(file_id, p));
+  }
   *frontier = end;
   return FetchPages(keys);
 }

@@ -111,11 +111,10 @@ class TwoLevelCache {
   const DiskManager* disk() const { return disk_; }
   SimContext* sim() { return sim_; }
 
-  /// The page-key encoding used by FetchPages: consecutive key values are
-  /// physically consecutive pages of one file, so the readahead planner
-  /// (src/cache/readahead.h) can detect sequential runs on raw keys.
+  /// Forwards to the storage PageKey (src/storage/rid.h); kept only so
+  /// perfbench/treebench_perf.cc compiles unchanged.
   static uint64_t PageKey(uint16_t file_id, uint32_t page_id) {
-    return (static_cast<uint64_t>(file_id) << 32) | page_id;
+    return treebench::PageKey(file_id, page_id);
   }
 
   /// Read access to a page; charges whatever faults the access incurs and
@@ -165,7 +164,7 @@ class TwoLevelCache {
 
   /// True if the page is resident at the client level (no cost).
   bool InClientCache(uint16_t file_id, uint32_t page_id) const {
-    return client_->Contains(Key(file_id, page_id));
+    return client_->Contains(treebench::PageKey(file_id, page_id));
   }
 
   // Occupancy gauges for the telemetry sampler (no cost, no promotion).
@@ -302,10 +301,6 @@ class TwoLevelCache {
   /// and send (another client's poll can fire the crash): each round costs
   /// the failed RPC attempts, so this bounds work, not correctness.
   static constexpr uint32_t kMaxRerouteRounds = 4;
-
-  static uint64_t Key(uint16_t file_id, uint32_t page_id) {
-    return PageKey(file_id, page_id);
-  }
 
   /// Readahead accounting: a prefetched page leaving the client level (or
   /// the whole level being dropped) before any demand access is wasted

@@ -182,7 +182,7 @@ Status Database::Analyze(const std::string& collection) {
   for (; it.Valid(); it.Next()) {
     const Rid& rid = it.rid();
     ++stats.count;
-    pages.insert((static_cast<uint64_t>(rid.file_id) << 32) | rid.page_id);
+    pages.insert(PageKey(rid.file_id, rid.page_id));
     if (rid.Packed() < prev_packed) ordered = false;
     prev_packed = rid.Packed();
 

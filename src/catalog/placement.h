@@ -40,8 +40,8 @@ class PlacementMap {
   uint32_t num_servers() const { return opts_.num_servers; }
   bool replication() const { return opts_.replication; }
 
-  /// The shard owning (serving reads for) a page key, as produced by
-  /// TwoLevelCache::PageKey: a SplitMix64 hash of the key, modulo the server
+  /// The shard owning (serving reads for) a page key (PageKey,
+  /// src/storage/rid.h): a SplitMix64 hash of the key, modulo the server
   /// count. It spreads every collection evenly and destroys physical
   /// adjacency across servers (two consecutive pages of one file usually
   /// live on different shards).

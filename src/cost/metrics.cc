@@ -114,88 +114,27 @@ Metrics& Metrics::operator+=(const Metrics& other) {
 }
 
 std::string Metrics::ToString() const {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      "disk_reads=%llu disk_writes=%llu rpcs=%llu rpc_bytes=%llu\n"
-      "client_cache: hits=%llu faults=%llu miss%%=%.1f evictions=%llu\n"
-      "server_cache: hits=%llu misses=%llu miss%%=%.1f evictions=%llu "
-      "swap_ios=%llu\n"
-      "handles: gets=%llu lookups=%llu unrefs=%llu literals=%llu\n"
-      "cpu: attr=%llu cmp=%llu hash_ins=%llu hash_probe=%llu sorted=%llu\n"
-      "results: set_appends=%llu tuples=%llu\n"
-      "faults: rpc_retries=%llu rpc_failures=%llu disk_rd=%llu disk_wr=%llu "
-      "corrupt=%llu replays=%llu backoff_ns=%llu\n"
-      "queueing: rpc_queue_wait_ns=%llu\n"
-      "batching: group_rpcs=%llu pages=%llu ra_hits=%llu ra_wasted=%llu\n"
-      "shards: crashes=%llu failovers=%llu degraded_reads=%llu "
-      "replica_writes=%llu failover_wait_ns=%llu\n"
-      "txn: begins=%llu commits=%llu aborts=%llu deadlocks=%llu\n"
-      "locks: acq=%llu waits=%llu wait_ns=%llu\n"
-      "writes: upd=%llu ins=%llu del=%llu undo_b=%llu redo_b=%llu "
-      "dirty_wb=%llu\n"
-      "recluster: heat_samples=%llu pages_migrated=%llu "
-      "objects_migrated=%llu aborts=%llu io_ns=%llu",
-      static_cast<unsigned long long>(disk_reads),
-      static_cast<unsigned long long>(disk_writes),
-      static_cast<unsigned long long>(rpc_count),
-      static_cast<unsigned long long>(rpc_bytes),
-      static_cast<unsigned long long>(client_cache_hits),
-      static_cast<unsigned long long>(client_cache_misses),
-      ClientMissRatePct(),
-      static_cast<unsigned long long>(client_cache_evictions),
-      static_cast<unsigned long long>(server_cache_hits),
-      static_cast<unsigned long long>(server_cache_misses),
-      ServerMissRatePct(),
-      static_cast<unsigned long long>(server_cache_evictions),
-      static_cast<unsigned long long>(swap_ios),
-      static_cast<unsigned long long>(handle_gets),
-      static_cast<unsigned long long>(handle_lookups),
-      static_cast<unsigned long long>(handle_unrefs),
-      static_cast<unsigned long long>(literal_handles),
-      static_cast<unsigned long long>(attr_accesses),
-      static_cast<unsigned long long>(comparisons),
-      static_cast<unsigned long long>(hash_inserts),
-      static_cast<unsigned long long>(hash_probes),
-      static_cast<unsigned long long>(sorted_elements),
-      static_cast<unsigned long long>(set_appends),
-      static_cast<unsigned long long>(tuples_built),
-      static_cast<unsigned long long>(rpc_retries),
-      static_cast<unsigned long long>(rpc_failures),
-      static_cast<unsigned long long>(disk_read_faults),
-      static_cast<unsigned long long>(disk_write_faults),
-      static_cast<unsigned long long>(corruptions_detected),
-      static_cast<unsigned long long>(checkpoint_replays),
-      static_cast<unsigned long long>(retry_backoff_ns),
-      static_cast<unsigned long long>(rpc_queue_wait_ns),
-      static_cast<unsigned long long>(batched_rpcs),
-      static_cast<unsigned long long>(pages_per_batch),
-      static_cast<unsigned long long>(readahead_hits),
-      static_cast<unsigned long long>(readahead_wasted),
-      static_cast<unsigned long long>(server_crashes),
-      static_cast<unsigned long long>(failovers),
-      static_cast<unsigned long long>(degraded_reads),
-      static_cast<unsigned long long>(replica_writes),
-      static_cast<unsigned long long>(failover_wait_ns),
-      static_cast<unsigned long long>(txn_begins),
-      static_cast<unsigned long long>(txn_commits),
-      static_cast<unsigned long long>(txn_aborts),
-      static_cast<unsigned long long>(deadlocks),
-      static_cast<unsigned long long>(lock_acquisitions),
-      static_cast<unsigned long long>(lock_waits),
-      static_cast<unsigned long long>(lock_wait_ns),
-      static_cast<unsigned long long>(logical_updates),
-      static_cast<unsigned long long>(logical_inserts),
-      static_cast<unsigned long long>(logical_deletes),
-      static_cast<unsigned long long>(undo_bytes),
-      static_cast<unsigned long long>(redo_bytes),
-      static_cast<unsigned long long>(dirty_page_writebacks),
-      static_cast<unsigned long long>(heat_samples),
-      static_cast<unsigned long long>(pages_migrated),
-      static_cast<unsigned long long>(objects_migrated),
-      static_cast<unsigned long long>(migration_aborts),
-      static_cast<unsigned long long>(recluster_io_ns));
-  return buf;
+  // Every counter as name=value in MetricsFieldTable order, wrapped at 80
+  // columns, then the two miss rates.
+  std::string out;
+  size_t column = 0;
+  for (const MetricsField& f : MetricsFieldTable()) {
+    const std::string token =
+        std::string(f.name) + '=' + FormatUint(this->*(f.member));
+    if (column > 0 && column + 1 + token.size() > 80) {
+      out += '\n';
+      column = 0;
+    } else if (column > 0) {
+      out += ' ';
+      ++column;
+    }
+    out += token;
+    column += token.size();
+  }
+  char rates[80];
+  std::snprintf(rates, sizeof(rates), "\nclient_miss%%=%.1f server_miss%%=%.1f",
+                ClientMissRatePct(), ServerMissRatePct());
+  return out + rates;
 }
 
 }  // namespace treebench

@@ -63,7 +63,7 @@ Status DeliverWindowed(Database* db, std::span<const T> rids,
     size_t j = i;
     while (j < rids.size()) {
       const Rid rid = RidAt(rids, j);
-      uint64_t key = TwoLevelCache::PageKey(rid.file_id, rid.page_id);
+      uint64_t key = PageKey(rid.file_id, rid.page_id);
       bool seen = std::find(window_keys.begin(), window_keys.end(), key) !=
                   window_keys.end();
       if (!seen) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/cache/two_level_cache.h"
-
 namespace treebench {
 
 double HeatTracker::DecayTo(const Decayed& d, double now_ns) const {
@@ -21,7 +19,7 @@ void HeatTracker::Bump(Decayed* d, double now_ns) {
 void HeatTracker::OnObjectAccess(const Rid& canonical) {
   if (!enabled_) return;
   sim_->ChargeHeatSample();
-  Bump(&pages_[TwoLevelCache::PageKey(canonical.file_id, canonical.page_id)],
+  Bump(&pages_[PageKey(canonical.file_id, canonical.page_id)],
        sim_->elapsed_ns());
 }
 
@@ -34,10 +32,10 @@ void HeatTracker::OnTraversal(const Rid& parent, const Rid& child) {
     run_open_ = true;
     run_parent_ = parent;
     run_pages_.clear();
-    run_pages_.insert(TwoLevelCache::PageKey(parent.file_id, parent.page_id));
+    run_pages_.insert(PageKey(parent.file_id, parent.page_id));
   }
   run_last_ns_ = now;
-  run_pages_.insert(TwoLevelCache::PageKey(child.file_id, child.page_id));
+  run_pages_.insert(PageKey(child.file_id, child.page_id));
 }
 
 void HeatTracker::FinalizeRun() {
@@ -52,7 +50,7 @@ void HeatTracker::FinalizeRun() {
   uint32_t shard = 0;
   if (page_to_shard_) {
     shard = page_to_shard_(
-        TwoLevelCache::PageKey(run_parent_.file_id, run_parent_.page_id));
+        PageKey(run_parent_.file_id, run_parent_.page_id));
     if (shard >= shard_runs_.size()) shard = 0;
   }
   if (!shard_runs_.empty()) {

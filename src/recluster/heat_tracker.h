@@ -56,7 +56,7 @@ class HeatTracker : public ObjectAccessObserver {
   std::vector<Candidate> HotParents(double now_ns, double min_heat,
                                     double min_span);
 
-  /// Decayed access heat of one page (TwoLevelCache::PageKey encoding).
+  /// Decayed access heat of one page (a PageKey, src/storage/rid.h).
   double PageHeat(uint64_t page_key, double now_ns) const;
 
   /// Drops everything learned about `parent` (called after its group is

@@ -105,9 +105,9 @@ Status Reorganizer::MigrateGroup(const Rid& parent, uint32_t* budget,
   }
 
   std::unordered_set<uint64_t> pages;
-  pages.insert(TwoLevelCache::PageKey(prid.file_id, prid.page_id));
+  pages.insert(PageKey(prid.file_id, prid.page_id));
   for (const Rid& kid : kids) {
-    pages.insert(TwoLevelCache::PageKey(kid.file_id, kid.page_id));
+    pages.insert(PageKey(kid.file_id, kid.page_id));
   }
   if (pages.size() <= 1) {  // already co-located; nothing to repair
     heat_->ForgetParent(parent);

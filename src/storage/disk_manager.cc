@@ -7,14 +7,6 @@
 
 namespace treebench {
 
-namespace {
-
-uint64_t PageKey(uint16_t file_id, uint32_t page_id) {
-  return (static_cast<uint64_t>(file_id) << 32) | page_id;
-}
-
-}  // namespace
-
 uint16_t DiskManager::CreateFile(std::string name) {
   TB_CHECK(files_.size() < 0xFFFF);
   files_.push_back(FileInfo{std::move(name), {}});
@@ -120,9 +112,8 @@ std::vector<uint64_t> DiskManager::RollbackUndoEpoch() {
   std::vector<uint64_t> affected;
   affected.reserve(undo_images_.size());
   for (auto& [key, img] : undo_images_) {
-    uint16_t file_id = static_cast<uint16_t>(key >> 32);
-    uint32_t page_id = static_cast<uint32_t>(key);
-    std::memcpy(files_[file_id].pages[page_id].get(), img.get(), kPageSize);
+    std::memcpy(files_[PageKeyFile(key)].pages[PageKeyPage(key)].get(),
+                img.get(), kPageSize);
     affected.push_back(key);
   }
   for (size_t i = 0; i < files_.size(); ++i) {

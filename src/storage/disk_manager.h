@@ -86,7 +86,7 @@ class DiskManager {
   /// Restores all journaled pre-images and truncates every file to its page
   /// count at epoch begin (files created after begin shrink to zero pages
   /// but keep their ids). Closes the epoch. Returns every affected page key
-  /// ((file_id << 32) | page_id, sorted) — restored pre-images plus
+  /// (PageKey values, sorted) — restored pre-images plus
   /// truncated pages — so the caller can discard stale cached copies.
   std::vector<uint64_t> RollbackUndoEpoch();
 

@@ -3,7 +3,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,11 +67,19 @@ int SortPackedRids(std::vector<uint64_t>* keys);
 /// The canonical invalid Rid ("nil" reference).
 inline constexpr Rid kNilRid{};
 
-struct RidHash {
-  size_t operator()(const Rid& r) const {
-    return std::hash<uint64_t>()(r.Packed());
-  }
-};
+/// A page's key in every per-page table (cache residency, undo images,
+/// heat, placement): (file_id << 32) | page_id. Consecutive keys are
+/// physically consecutive pages of one file, so the readahead planner
+/// (src/cache/readahead.h) detects sequential runs on raw keys.
+constexpr uint64_t PageKey(uint16_t file_id, uint32_t page_id) {
+  return (static_cast<uint64_t>(file_id) << 32) | page_id;
+}
+constexpr uint16_t PageKeyFile(uint64_t key) {
+  return static_cast<uint16_t>(key >> 32);
+}
+constexpr uint32_t PageKeyPage(uint64_t key) {
+  return static_cast<uint32_t>(key);
+}
 
 }  // namespace treebench
 

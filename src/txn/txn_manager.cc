@@ -73,8 +73,8 @@ Status TxnManager::Abort(Transaction* txn) {
     // checksum if the page was already client-dirty when it was journaled.
     // Truncated pages (born inside the transaction) no longer resolve.
     for (uint64_t key : affected) {
-      Result<uint8_t*> raw = db_->disk().RawPage(
-          static_cast<uint16_t>(key >> 32), static_cast<uint32_t>(key));
+      Result<uint8_t*> raw =
+          db_->disk().RawPage(PageKeyFile(key), PageKeyPage(key));
       if (raw.ok()) StampPageChecksum(*raw);
     }
     db_->cache().DiscardKeys(affected);
@@ -154,9 +154,7 @@ Status TxnManager::OnPageAccess(uint64_t key, bool for_write) {
     if (journal_owner_ != 0 && journal_owner_ != active_->id()) {
       journal_poisoned_ = true;
     }
-    uint16_t file_id = static_cast<uint16_t>(key >> 32);
-    uint32_t page_id = static_cast<uint32_t>(key);
-    if (db_->disk().WouldJournal(file_id, page_id)) {
+    if (db_->disk().WouldJournal(PageKeyFile(key), PageKeyPage(key))) {
       sim.ChargeUndoBytes(kPageSize);
     }
     if (active_->written_set_.insert(key).second) {

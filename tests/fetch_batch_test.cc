@@ -57,8 +57,7 @@ TEST(ReadaheadPlannerTest, DetectRunsBoundaries) {
 
   // Same page id in a different file is a different physical place: the
   // file id lives in the key's high bits, so the keys are not consecutive.
-  std::vector<uint64_t> files = {TwoLevelCache::PageKey(0, 5),
-                                 TwoLevelCache::PageKey(1, 6)};
+  std::vector<uint64_t> files = {PageKey(0, 5), PageKey(1, 6)};
   EXPECT_EQ(DetectRuns(files), (std::vector<PageRun>{{0, 1}, {1, 1}}));
 }
 
@@ -123,7 +122,7 @@ class FetchBatchCacheTest : public ::testing::Test {
 
   std::vector<uint64_t> Keys(std::initializer_list<uint32_t> pages) {
     std::vector<uint64_t> keys;
-    for (uint32_t p : pages) keys.push_back(TwoLevelCache::PageKey(file_, p));
+    for (uint32_t p : pages) keys.push_back(PageKey(file_, p));
     return keys;
   }
 
@@ -323,7 +322,7 @@ TEST(FetchBatchFaultSeedTest, ProbabilityFaultedBatchesAreSeedDeterministic) {
     for (uint32_t base : {0u, 4u, 8u, 12u}) {
       std::vector<uint64_t> keys;
       for (uint32_t p = base; p < base + 4; ++p) {
-        keys.push_back(TwoLevelCache::PageKey(file, p));
+        keys.push_back(PageKey(file, p));
       }
       codes += cache.FetchPages(keys).ok() ? "ok;" : "fail;";
     }
@@ -643,8 +642,7 @@ TEST(FetchBatchFaultDifferentialTest, ArmedAtZeroProbabilityIsTheDisarmedRun) {
     std::vector<uint64_t> keys;
     auto it = db->GetCollection("Patients").value()->Scan();
     for (; it.Valid() && keys.size() < 8; it.Next()) {
-      uint64_t key = TwoLevelCache::PageKey(it.rid().file_id,
-                                            it.rid().page_id);
+      uint64_t key = PageKey(it.rid().file_id, it.rid().page_id);
       if (keys.empty() || keys.back() != key) keys.push_back(key);
     }
     EXPECT_TRUE(it.status().ok());
@@ -653,8 +651,8 @@ TEST(FetchBatchFaultDifferentialTest, ArmedAtZeroProbabilityIsTheDisarmedRun) {
     EXPECT_TRUE(db->cache().FetchPages(keys).ok());
     // The write-back path: one fetched page dirtied and shipped down.
     EXPECT_TRUE(db->cache()
-                    .GetPageForWrite(static_cast<uint16_t>(keys[0] >> 32),
-                                     static_cast<uint32_t>(keys[0]))
+                    .GetPageForWrite(PageKeyFile(keys[0]),
+                                     PageKeyPage(keys[0]))
                     .ok());
     EXPECT_TRUE(db->cache().FlushAll().ok());
     EXPECT_EQ(db->sim().faults().ops(FaultSite::kRpc) > 0, armed);

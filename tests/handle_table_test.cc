@@ -43,71 +43,6 @@ void ExpectMatches(const HandleMap& map,
   }
 }
 
-// Keys whose home slot, at the map's current capacity, is `slot`.
-std::vector<uint64_t> KeysHomedAt(const HandleMap& map, size_t slot,
-                                  size_t n) {
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 1; keys.size() < n; ++k) {
-    if (map.HomeSlot(k) == slot) keys.push_back(k);
-  }
-  return keys;
-}
-
-TEST(HandleMapTest, CollidingRunWrapsAroundTheIndexEnd) {
-  HandleMap map;
-  const size_t cap = map.capacity();
-  // Three keys homed at the last slot fill it and wrap into slots 0 and 1;
-  // a key homed at slot 0 is displaced behind them.
-  std::vector<uint64_t> tail = KeysHomedAt(map, cap - 1, 3);
-  uint64_t head = KeysHomedAt(map, 0, 1)[0];
-  std::unordered_map<uint64_t, Expected> ref;
-  std::vector<uint64_t> universe = tail;
-  universe.push_back(head);
-  uint32_t tag = 1;
-  for (uint64_t k : universe) {
-    ref[k] = {InsertTagged(&map, k, tag), tag};
-    ++tag;
-  }
-  ASSERT_EQ(map.capacity(), cap);  // no growth: the run really wraps
-  ExpectMatches(map, ref, universe);
-
-  // Erasing the run's first entry shifts every later entry back across the
-  // wrap point; erasing inside the run must keep the rest reachable too.
-  for (uint64_t victim : {tail[0], tail[2], head, tail[1]}) {
-    EXPECT_TRUE(map.Erase(victim));
-    EXPECT_FALSE(map.Erase(victim));
-    ref.erase(victim);
-    ExpectMatches(map, ref, universe);
-  }
-  EXPECT_EQ(map.size(), 0u);
-}
-
-TEST(HandleMapTest, KeysWithEqualHashesStayDistinct) {
-  // The index stores a 32-bit hash, the top half of key * kMul. With inv
-  // the inverse of kMul mod 2^64, key i * inv multiplies to i, so keys 0..5
-  // below all hash to 0 and only the full-key comparison tells them apart.
-  const uint64_t kMul = 0x9E3779B97F4A7C15ull;
-  uint64_t inv = kMul;
-  for (int i = 0; i < 6; ++i) inv *= 2 - kMul * inv;  // Newton's iteration
-  ASSERT_EQ(inv * kMul, 1u);
-  HandleMap map;
-  std::unordered_map<uint64_t, Expected> ref;
-  std::vector<uint64_t> universe;
-  for (uint32_t i = 0; i < 6; ++i) {
-    uint64_t key = i * inv;
-    ASSERT_EQ(map.HomeSlot(key), 0u);
-    universe.push_back(key);
-    if (i < 5) ref[key] = {InsertTagged(&map, key, i + 1), i + 1};
-  }
-  ExpectMatches(map, ref, universe);  // key 5 is absent despite the hash
-  for (uint64_t victim : {universe[2], universe[0], universe[4]}) {
-    EXPECT_TRUE(map.Erase(victim));
-    ref.erase(victim);
-    ExpectMatches(map, ref, universe);
-  }
-  EXPECT_FALSE(map.Erase(universe[5]));
-}
-
 TEST(HandleMapTest, HandlePointersSurviveIndexGrowth) {
   HandleMap map;
   const size_t cap = map.capacity();

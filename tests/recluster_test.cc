@@ -115,7 +115,7 @@ TEST(HeatTrackerTest, AccessHeatHalvesEveryHalfLife) {
   HeatTracker heat(&sim);
 
   const Rid r(0, 7, 0);
-  const uint64_t key = TwoLevelCache::PageKey(0, 7);
+  const uint64_t key = PageKey(0, 7);
   heat.OnObjectAccess(r);
   const double now = sim.elapsed_ns();
   const double half = sim.model().heat_half_life_ns;
@@ -123,7 +123,7 @@ TEST(HeatTrackerTest, AccessHeatHalvesEveryHalfLife) {
   EXPECT_DOUBLE_EQ(heat.PageHeat(key, now), 1.0);
   EXPECT_NEAR(heat.PageHeat(key, now + half), 0.5, 1e-12);
   EXPECT_NEAR(heat.PageHeat(key, now + 2 * half), 0.25, 1e-12);
-  EXPECT_DOUBLE_EQ(heat.PageHeat(TwoLevelCache::PageKey(0, 8), now), 0.0);
+  EXPECT_DOUBLE_EQ(heat.PageHeat(PageKey(0, 8), now), 0.0);
 
   // A second access decays-then-bumps: the bump lands on TOP of whatever
   // survived, never resets it.

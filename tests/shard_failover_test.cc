@@ -43,7 +43,7 @@ TEST(PlacementTest, SingleServerMapsEverythingToShardZero) {
   EXPECT_EQ(map.num_servers(), 1u);
   EXPECT_FALSE(map.replication());
   for (uint32_t p = 0; p < 1000; ++p) {
-    EXPECT_EQ(map.PrimaryShard(TwoLevelCache::PageKey(3, p)), 0u);
+    EXPECT_EQ(map.PrimaryShard(PageKey(3, p)), 0u);
   }
 }
 
@@ -57,7 +57,7 @@ TEST(PlacementTest, HashPlacementSpreadsKeysAcrossShards) {
   std::vector<uint32_t> per_shard(4, 0);
   const uint32_t kKeys = 10000;
   for (uint32_t p = 0; p < kKeys; ++p) {
-    uint32_t shard = map.PrimaryShard(TwoLevelCache::PageKey(1, p));
+    uint32_t shard = map.PrimaryShard(PageKey(1, p));
     ASSERT_LT(shard, 4u);
     ++per_shard[shard];
   }
@@ -109,10 +109,10 @@ TEST(ShardedCacheTest, ReconfigureToCurrentPlacementChargesNothing) {
   LoadPages(&db, f, 8);
 
   double elapsed = db.sim().elapsed_ns();
-  std::string before = db.sim().metrics().ToString();
+  const Metrics before = db.sim().metrics();
   ASSERT_TRUE(db.ConfigureShards(db.options().placement).ok());
   EXPECT_DOUBLE_EQ(db.sim().elapsed_ns(), elapsed);
-  EXPECT_EQ(db.sim().metrics().ToString(), before);
+  EXPECT_TRUE(db.sim().metrics() == before) << db.sim().metrics().ToString();
   EXPECT_EQ(db.cache().NumShards(), 1u);
 }
 
@@ -169,7 +169,7 @@ TEST(ShardedCacheTest, CrashFailsOverToBackupAndRejoinsCold) {
   // Pick pages primarily owned by shard 0 (the crash victim).
   std::vector<uint32_t> on_zero;
   for (uint32_t p : pages) {
-    if (db.placement().PrimaryShard(TwoLevelCache::PageKey(f, p)) == 0) {
+    if (db.placement().PrimaryShard(PageKey(f, p)) == 0) {
       on_zero.push_back(p);
     }
   }
@@ -232,7 +232,7 @@ TEST(ShardedCacheTest, CrashWithoutReplicationSurfacesUnavailable) {
 
   bool saw_unavailable = false;
   for (uint32_t p : pages) {
-    if (db.placement().PrimaryShard(TwoLevelCache::PageKey(f, p)) != 0) {
+    if (db.placement().PrimaryShard(PageKey(f, p)) != 0) {
       continue;
     }
     auto bytes = db.cache().GetPage(f, p);
@@ -282,8 +282,7 @@ class StationRoutingTest : public ::testing::Test {
   uint32_t PageOn(uint32_t shard, uint32_t n = 0) const {
     uint32_t seen = 0;
     for (uint32_t p = 0; p < kPages; ++p) {
-      if (cache_.placement().PrimaryShard(TwoLevelCache::PageKey(file_, p)) ==
-              shard &&
+      if (cache_.placement().PrimaryShard(PageKey(file_, p)) == shard &&
           seen++ == n) {
         return p;
       }

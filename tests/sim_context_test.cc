@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
+
 namespace treebench {
 namespace {
 
@@ -131,6 +135,15 @@ TEST(SimContextTest, MetricsToStringMentionsCounters) {
   sim.ChargeDiskRead();
   std::string s = sim.metrics().ToString();
   EXPECT_NE(s.find("disk_reads=1"), std::string::npos);
+  // Every counter prints as its own name=value token.
+  std::set<std::string> names;
+  std::istringstream in(s);
+  for (std::string token; in >> token;) {
+    names.insert(token.substr(0, token.find('=')));
+  }
+  for (const MetricsField& f : MetricsFieldTable()) {
+    EXPECT_EQ(names.count(f.name), 1u) << f.name;
+  }
 }
 
 TEST(CostModelTest, Sparc20Defaults) {
